@@ -12,6 +12,7 @@
 use fsda_causal::ci::{combine_with_fnode, CondIndepTest, FisherZ};
 use fsda_core::adapter::{AdapterConfig, Budget, FsGanAdapter};
 use fsda_core::fs::{FeatureSeparation, FsConfig};
+use fsda_core::DriftMitigator;
 use fsda_data::fewshot::few_shot_subset;
 use fsda_data::synth5gc::Synth5gc;
 use fsda_gan::cond_gan::{CondGan, CondGanConfig};

@@ -15,6 +15,7 @@
 use fsda_bench::{scenario_5gc, BenchScale};
 use fsda_core::adapter::{build_classifier, AdapterConfig, FsGanAdapter};
 use fsda_core::fs::{FeatureSeparation, FsConfig};
+use fsda_core::DriftMitigator;
 use fsda_linalg::SeededRng;
 use fsda_models::ClassifierKind;
 use std::time::Instant;

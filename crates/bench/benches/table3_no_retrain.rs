@@ -9,6 +9,7 @@
 use fsda_bench::{paper, three_domain_5gipc, BenchScale};
 use fsda_core::adapter::{AdapterConfig, FsGanAdapter};
 use fsda_core::report::Comparison;
+use fsda_core::DriftMitigator;
 use fsda_data::fewshot::few_shot_indices;
 use fsda_data::synth5gipc::NUM_GROUPS;
 use fsda_linalg::SeededRng;

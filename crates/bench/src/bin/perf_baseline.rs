@@ -4,7 +4,7 @@
 //!
 //! Runs the PC causal search over a grid of (features × samples × threads)
 //! on block-correlated synthetic data, then times the FS+GAN adapter's
-//! `reconstruct_batch` against the per-sample reference loop over a
+//! `reconstruct_batch_with` against the per-sample reference loop over a
 //! (batch × threads) grid, verifying every parallel run bit-identical to
 //! its reference. Writes both grids to `BENCH_runtime.json` at the
 //! repository root.
@@ -17,9 +17,10 @@
 //! 2-thread run on a 1-core host measures scheduler overhead, not the
 //! engine, so it never produces a row at all.
 //!
-//! A `telemetry_overhead` section times `predict_batch` three ways on
-//! the same trained pipeline — direct inherent call (uninstrumented),
-//! registry call with telemetry disabled (the no-op recorder path), and
+//! A `telemetry_overhead` section times prediction three ways on the same
+//! trained pipeline — `FsGanAdapter::predict_mc` at `MC_DRAWS`
+//! (uninstrumented), `predict_batch` through the registry with telemetry
+//! disabled (the no-op recorder path), and
 //! registry call with an aggregating [`fsda_telemetry::InMemoryRecorder`]
 //! installed — and records both overheads against their budget (no-op
 //! ≤ 2%, aggregating ≤ 5%).
@@ -30,7 +31,7 @@
 
 use fsda_causal::ci::FisherZ;
 use fsda_causal::pc::{pc, PcConfig, PcResult};
-use fsda_core::adapter::{AdapterConfig, Budget, FsGanAdapter};
+use fsda_core::adapter::{AdapterConfig, Budget, FsGanAdapter, MC_DRAWS};
 use fsda_core::{DriftMitigator, GuardConfig, InferPrecision};
 use fsda_data::fewshot::few_shot_subset;
 use fsda_data::synth5gc::Synth5gc;
@@ -221,8 +222,9 @@ fn serving_batch(features: &Matrix, rows: usize) -> Matrix {
     features.select_rows(&idx)
 }
 
-/// Times the guarded serving entry point (`try_reconstruct_batch`, reject
-/// policy) against the unguarded `reconstruct_batch` on clean batches: the
+/// Times the guarded serving entry point (`try_reconstruct_batch_with`,
+/// reject policy) against the unguarded `reconstruct_batch_with` on clean
+/// batches: the
 /// input scan is the only extra work, and on the clean fast path it must
 /// stay under a few percent.
 fn bench_guard_overhead(adapter: &FsGanAdapter, features: &Matrix) -> Vec<GuardCell> {
@@ -237,17 +239,17 @@ fn bench_guard_overhead(adapter: &FsGanAdapter, features: &Matrix) -> Vec<GuardC
         let x = serving_batch(features, rows);
         // Warm-up, then best-of-9: the scan is cheap enough that scheduler
         // noise on a single run would dominate the comparison.
-        let _ = adapter.reconstruct_batch(&x, Some(1));
+        let _ = adapter.reconstruct_batch_with(&x, Some(1), InferPrecision::F64Exact);
         let mut unguarded = f64::INFINITY;
         let mut guarded = f64::INFINITY;
         let mut identical = true;
         for _ in 0..9 {
             let start = Instant::now();
-            let plain = adapter.reconstruct_batch(&x, Some(1));
+            let plain = adapter.reconstruct_batch_with(&x, Some(1), InferPrecision::F64Exact);
             unguarded = unguarded.min(start.elapsed().as_secs_f64());
             let start = Instant::now();
             let checked = adapter
-                .try_reconstruct_batch(&x, Some(1), &guard)
+                .try_reconstruct_batch_with(&x, Some(1), &guard, InferPrecision::F64Exact)
                 .expect("clean batch must pass the guard");
             guarded = guarded.min(start.elapsed().as_secs_f64());
             identical &= plain == checked;
@@ -275,13 +277,15 @@ fn bench_guard_overhead(adapter: &FsGanAdapter, features: &Matrix) -> Vec<GuardC
 }
 
 /// Times `predict_batch` through the `Box<dyn DriftMitigator>` registry
-/// interface against the direct inherent call on the same adapter. Both
-/// paths run the identical reconstruction + classification work; the only
-/// difference is one virtual call per batch, so the overhead must vanish
-/// into timing noise (the registry contract budgets 2%).
+/// interface against the direct, uninstrumented
+/// `FsGanAdapter::predict_mc` at [`MC_DRAWS`] on the same adapter. Both
+/// paths run the identical reconstruction + classification work; the
+/// difference is one virtual call and the disabled telemetry span per
+/// batch, so the overhead must vanish into timing noise (the registry
+/// contract budgets 2%).
 fn bench_dispatch_overhead(adapter: &FsGanAdapter, features: &Matrix) -> Vec<DispatchCell> {
     let virtual_adapter: &dyn DriftMitigator = adapter;
-    println!("\nregistry (dyn DriftMitigator) vs direct predict_batch dispatch");
+    println!("\nregistry (dyn DriftMitigator) predict_batch vs direct predict_mc");
     println!(
         "{:>7} {:>9} {:>12} {:>12} {:>10}",
         "rows", "features", "direct (s)", "dyn (s)", "overhead"
@@ -294,7 +298,7 @@ fn bench_dispatch_overhead(adapter: &FsGanAdapter, features: &Matrix) -> Vec<Dis
         // calls (~8 ms of work per sample) and the reported figure is the
         // best of 25 samples per path.
         let inner = (512 / rows).max(1);
-        let _ = adapter.predict_batch(&x, Some(1));
+        let _ = adapter.predict_mc(&x, Some(1), MC_DRAWS);
         let mut direct = f64::INFINITY;
         let mut dynamic = f64::INFINITY;
         let mut identical = true;
@@ -302,7 +306,7 @@ fn bench_dispatch_overhead(adapter: &FsGanAdapter, features: &Matrix) -> Vec<Dis
             let start = Instant::now();
             let mut a = Vec::new();
             for _ in 0..inner {
-                a = adapter.predict_batch(&x, Some(1));
+                a = adapter.predict_mc(&x, Some(1), MC_DRAWS);
             }
             direct = direct.min(start.elapsed().as_secs_f64() / inner as f64);
             let start = Instant::now();
@@ -331,11 +335,12 @@ fn bench_dispatch_overhead(adapter: &FsGanAdapter, features: &Matrix) -> Vec<Dis
     cells
 }
 
-/// Times `predict_batch` three ways on the same trained pipeline: the
-/// direct inherent call (no instrumentation in its path), the registry
-/// (`dyn DriftMitigator`) call with telemetry disabled — the no-op
-/// recorder path, one relaxed atomic load per emission site — and the
-/// registry call with an aggregating `InMemoryRecorder` installed. The
+/// Times prediction three ways on the same trained pipeline: the direct
+/// `FsGanAdapter::predict_mc` at [`MC_DRAWS`] (no instrumentation in its
+/// path), `predict_batch` through the registry (`dyn DriftMitigator`)
+/// with telemetry disabled — the no-op recorder path, one relaxed atomic
+/// load per emission site — and the same registry call with an
+/// aggregating `InMemoryRecorder` installed. The
 /// two overheads are measured against the direct call; the telemetry
 /// contract budgets ≤ 2% for the no-op path and ≤ 5% for aggregation.
 fn bench_telemetry_overhead(adapter: &FsGanAdapter, features: &Matrix) -> Vec<TelemetryCell> {
@@ -360,7 +365,7 @@ fn bench_telemetry_overhead(adapter: &FsGanAdapter, features: &Matrix) -> Vec<Te
         // best of 25 samples per path, interleaved so drift (thermal,
         // scheduler) hits all three paths alike.
         let inner = (512 / rows).max(1);
-        let _ = adapter.predict_batch(&x, Some(1));
+        let _ = adapter.predict_mc(&x, Some(1), MC_DRAWS);
         let mut direct = f64::INFINITY;
         let mut noop = f64::INFINITY;
         let mut aggregating = f64::INFINITY;
@@ -369,7 +374,7 @@ fn bench_telemetry_overhead(adapter: &FsGanAdapter, features: &Matrix) -> Vec<Te
             let start = Instant::now();
             let mut a = Vec::new();
             for _ in 0..inner {
-                a = adapter.predict_batch(&x, Some(1));
+                a = adapter.predict_mc(&x, Some(1), MC_DRAWS);
             }
             direct = direct.min(start.elapsed().as_secs_f64() / inner as f64);
 
@@ -676,12 +681,12 @@ fn bench_reconstruction(cores: usize) -> ReconBenches {
         let scalar_elapsed = start.elapsed().as_secs_f64();
         for &t in &thread_grid {
             let start = Instant::now();
-            let batch = adapter.reconstruct_batch(&x, Some(t));
+            let batch = adapter.reconstruct_batch_with(&x, Some(t), InferPrecision::F64Exact);
             let batch_elapsed = start.elapsed().as_secs_f64();
             let identical = batch == scalar;
             assert!(
                 identical,
-                "reconstruct_batch diverged from the scalar loop at rows={rows}, threads={t}"
+                "reconstruct_batch_with diverged from the scalar loop at rows={rows}, threads={t}"
             );
             let cell = ReconCell {
                 rows,
@@ -863,7 +868,7 @@ fn main() {
     let _ = writeln!(json, "  \"batched_reconstruction\": {{");
     let _ = writeln!(
         json,
-        "    \"description\": \"FS+GAN reconstruct_batch vs the per-sample \
+        "    \"description\": \"FS+GAN reconstruct_batch_with (F64Exact) vs the per-sample \
          scalar loop on a trained 5GC-small pipeline; every batched run is \
          verified bit-identical to the scalar reference\","
     );
@@ -897,8 +902,8 @@ fn main() {
     let _ = writeln!(json, "  \"guarded_serving_overhead\": {{");
     let _ = writeln!(
         json,
-        "    \"description\": \"try_reconstruct_batch (reject policy) vs \
-         reconstruct_batch on clean single-threaded batches, best of 9; \
+        "    \"description\": \"try_reconstruct_batch_with (reject policy) vs \
+         reconstruct_batch_with on clean single-threaded batches, best of 9; \
          the guarded path is verified bit-identical and its overhead is \
          the cost of the input scan\","
     );
@@ -929,9 +934,10 @@ fn main() {
     let _ = writeln!(
         json,
         "    \"description\": \"predict_batch through the Box<dyn \
-         DriftMitigator> registry interface vs the direct inherent call on \
-         the same trained FS+GAN pipeline, best of 25 amortized samples; \
-         one virtual call per batch, verified bit-identical\","
+         DriftMitigator> registry interface vs the direct uninstrumented \
+         FsGanAdapter::predict_mc at MC_DRAWS on the same trained FS+GAN \
+         pipeline, best of 25 amortized samples; one virtual call per \
+         batch, verified bit-identical\","
     );
     let _ = writeln!(json, "    \"target_overhead_pct\": 2.0,");
     json.push_str("    \"cells\": [\n");
@@ -954,9 +960,10 @@ fn main() {
     let _ = writeln!(json, "  \"telemetry_overhead\": {{");
     let _ = writeln!(
         json,
-        "    \"description\": \"predict_batch timed three ways on the same \
+        "    \"description\": \"prediction timed three ways on the same \
          trained FS+GAN pipeline, best of 25 amortized samples: direct \
-         inherent call (uninstrumented), registry call with telemetry \
+         FsGanAdapter::predict_mc at MC_DRAWS (uninstrumented), registry \
+         predict_batch with telemetry \
          disabled (no-op path, one relaxed atomic load per emission \
          site), and registry call with an aggregating InMemoryRecorder \
          installed; all three verified bit-identical\","

@@ -155,69 +155,6 @@ impl FsAdapter {
         &self.fitted().separation
     }
 
-    /// Predicts labels for raw (unnormalized) target features.
-    ///
-    /// This is the unguarded fast path: NaN/Inf cells propagate into the
-    /// classifier unchecked. Use [`FsAdapter::try_predict`] on untrusted
-    /// telemetry.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `features` has a different column count than the fitted
-    /// data, or when the adapter has not been fitted.
-    pub fn predict(&self, features: &Matrix) -> Vec<usize> {
-        self.predict_with(features, InferPrecision::F64Exact)
-    }
-
-    /// [`FsAdapter::predict`] at an explicit numeric precision.
-    /// [`InferPrecision::F64Exact`] is bit-identical to `predict`;
-    /// [`InferPrecision::F32Fast`] runs the classifier's compiled
-    /// single-precision plan when it has one (neural families), trading a
-    /// small bounded divergence for throughput.
-    ///
-    /// # Panics
-    ///
-    /// As [`FsAdapter::predict`].
-    pub fn predict_with(&self, features: &Matrix, precision: InferPrecision) -> Vec<usize> {
-        let fitted = self.fitted();
-        let (inv, _) = fitted.separation.split_normalized(features);
-        fitted.classifier.predict_with(&inv, precision)
-    }
-
-    /// Guarded variant of [`FsAdapter::predict`]: validates the batch
-    /// against the source-fitted normalizer and `guard` (rejecting or
-    /// repairing corrupt cells) before classification.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::DimensionMismatch`] on a column-count mismatch, and
-    /// the localized [`ServeError::NonFinite`] / [`ServeError::OutOfRange`]
-    /// of the first corrupt cell under [`crate::InputPolicy::Reject`].
-    pub fn try_predict(
-        &self,
-        features: &Matrix,
-        guard: &GuardConfig,
-    ) -> std::result::Result<Vec<usize>, ServeError> {
-        self.try_predict_with(features, guard, InferPrecision::F64Exact)
-    }
-
-    /// [`FsAdapter::try_predict`] at an explicit numeric precision. The
-    /// input validation is identical at both precisions; only the
-    /// classifier forward pass changes.
-    ///
-    /// # Errors
-    ///
-    /// As [`FsAdapter::try_predict`].
-    pub fn try_predict_with(
-        &self,
-        features: &Matrix,
-        guard: &GuardConfig,
-        precision: InferPrecision,
-    ) -> std::result::Result<Vec<usize>, ServeError> {
-        let repaired = sanitize_batch(features, self.fitted().separation.normalizer(), guard)?;
-        Ok(self.predict_with(repaired.as_ref().unwrap_or(features), precision))
-    }
-
     /// Number of classes.
     ///
     /// # Panics
@@ -332,35 +269,17 @@ impl crate::pipeline::DriftMitigator for FsAdapter {
         self.fit_in_place(source, target_shots)
     }
 
-    fn predict(&self, features: &Matrix) -> Vec<usize> {
-        let _span = observe::call_span(observe::Call::Predict, crate::Method::Fs);
-        FsAdapter::predict(self, features)
-    }
-
-    fn predict_batch(&self, features: &Matrix, _threads: Option<usize>) -> Vec<usize> {
-        let _span = observe::call_span(observe::Call::PredictBatch, crate::Method::Fs);
-        FsAdapter::predict(self, features)
-    }
-
-    fn try_predict_batch(
-        &self,
-        features: &Matrix,
-        _threads: Option<usize>,
-        guard: &GuardConfig,
-    ) -> std::result::Result<Vec<usize>, ServeError> {
-        let _span = observe::call_span(observe::Call::TryPredictBatch, crate::Method::Fs);
-        self.try_predict(features, guard)
-    }
-
     fn predict_batch_with(
         &self,
         features: &Matrix,
         _threads: Option<usize>,
         precision: InferPrecision,
     ) -> Vec<usize> {
-        let _span = observe::call_span(observe::Call::PredictBatch, crate::Method::Fs);
+        let _span = observe::call_span(observe::Call::Predict, crate::Method::Fs);
         observe::note_precision(precision);
-        FsAdapter::predict_with(self, features, precision)
+        let fitted = self.fitted();
+        let (inv, _) = fitted.separation.split_normalized(features);
+        fitted.classifier.predict_with(&inv, precision)
     }
 
     fn try_predict_batch_with(
@@ -372,7 +291,12 @@ impl crate::pipeline::DriftMitigator for FsAdapter {
     ) -> std::result::Result<Vec<usize>, ServeError> {
         let _span = observe::call_span(observe::Call::TryPredictBatch, crate::Method::Fs);
         observe::note_precision(precision);
-        self.try_predict_with(features, guard, precision)
+        let fitted = self.fitted();
+        let repaired = sanitize_batch(features, fitted.separation.normalizer(), guard)?;
+        let (inv, _) = fitted
+            .separation
+            .split_normalized(repaired.as_ref().unwrap_or(features));
+        Ok(fitted.classifier.predict_with(&inv, precision))
     }
 
     fn to_bytes(&self) -> Result<Vec<u8>> {

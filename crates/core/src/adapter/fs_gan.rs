@@ -47,10 +47,10 @@ pub struct FsGanAdapter {
 /// of macro-F1 on the scenario grids). Eight draws sit where agreement
 /// with the many-draw label stabilises (the `mc_ablation` bench uses
 /// M = 9 as its reference); beyond that the curve is flat and the cost
-/// is linear in draws. Reconstruction entry points
-/// ([`FsGanAdapter::reconstruct_batch`] and friends) still expose single
-/// draws — callers that want samples get samples, but a *label* is a
-/// posterior summary and is averaged.
+/// is linear in draws. The reconstruction entry points
+/// ([`FsGanAdapter::reconstruct_batch_with`] and its guarded twin) still
+/// expose single draws — callers that want samples get samples, but a
+/// *label* is a posterior summary and is averaged.
 pub const MC_DRAWS: u64 = 8;
 
 impl std::fmt::Debug for FsGanAdapter {
@@ -287,92 +287,40 @@ impl FsGanAdapter {
             .and_then(|r| r.train_outcome())
     }
 
-    /// Transforms raw target features into source-like normalized samples:
-    /// invariant features pass through, variant features are reconstructed
-    /// by the generator (Eq. 10–11).
-    pub fn transform(&self, features: &Matrix) -> Matrix {
-        self.transform_seeded(features, self.seed ^ 0x11FE)
-    }
-
-    fn transform_seeded(&self, features: &Matrix, noise_seed: u64) -> Matrix {
-        let fitted = self.fitted();
-        let (inv, var) = fitted.separation.split_normalized(features);
-        match &fitted.reconstructor {
-            Some(recon) => {
-                let var_hat = recon.reconstruct(&inv, noise_seed);
-                fitted.separation.reassemble(&inv, &var_hat)
-            }
-            None => fitted.separation.reassemble(&inv, &var),
-        }
-    }
-
-    /// Predicts labels for raw target features, averaging class
-    /// probabilities over [`MC_DRAWS`] generator draws (Eq. 12 via the
-    /// general expectation before Eq. 10). Identical to
-    /// [`FsGanAdapter::predict_batch`] with the default thread count.
-    pub fn predict(&self, features: &Matrix) -> Vec<usize> {
-        argmax_rows(&self.mc_proba_with(features, None, InferPrecision::F64Exact))
-    }
-
     /// Monte-Carlo prediction with an explicit number of generator draws
     /// `m`, averaging class probabilities (the general Eq. before Eq. 10).
-    /// Draws use the same per-row seeding as the batch serving path, so
-    /// `m` = [`MC_DRAWS`] reproduces [`FsGanAdapter::predict`] exactly.
+    /// Draws use the per-row seeding of every other prediction entry point,
+    /// so `m` = [`MC_DRAWS`] reproduces
+    /// [`DriftMitigator::predict_batch`](crate::pipeline::DriftMitigator::predict_batch)
+    /// exactly, at any `threads`. Unlike the trait entry points this
+    /// emits no telemetry.
     ///
     /// # Panics
     ///
-    /// Panics if `m == 0`.
-    pub fn predict_mc(&self, features: &Matrix, m: usize) -> Vec<usize> {
+    /// Panics if `m == 0`, when the adapter has not been fitted, or when
+    /// `features` has a different column count than the fitted data.
+    pub fn predict_mc(&self, features: &Matrix, threads: Option<usize>, m: u64) -> Vec<usize> {
         assert!(m > 0, "predict_mc: m must be >= 1");
-        argmax_rows(&self.mc_proba_draws(features, None, InferPrecision::F64Exact, m as u64))
+        self.mc_labels(features, threads, InferPrecision::F64Exact, m, false)
+            .unwrap_or_else(|e| unreachable!("unchecked Monte-Carlo accumulation reported {e}"))
     }
 
-    /// Class-probability predictions averaged over [`MC_DRAWS`] draws.
-    pub fn predict_proba(&self, features: &Matrix) -> Matrix {
-        self.mc_proba_with(features, None, InferPrecision::F64Exact)
-    }
-
-    /// Mean class probabilities over [`MC_DRAWS`] reconstruction draws.
-    fn mc_proba_with(
-        &self,
-        features: &Matrix,
-        threads: Option<usize>,
-        precision: InferPrecision,
-    ) -> Matrix {
-        self.mc_proba_draws(features, threads, precision, MC_DRAWS)
-    }
-
-    /// Infallible MC accumulation: the finite check is the accumulator's
-    /// only error source, and it is disabled here.
-    fn mc_proba_draws(
-        &self,
-        features: &Matrix,
-        threads: Option<usize>,
-        precision: InferPrecision,
-        draws: u64,
-    ) -> Matrix {
-        match self.mc_proba_checked(features, threads, precision, draws, false) {
-            Ok(probs) => probs,
-            Err(e) => unreachable!("unchecked MC accumulation reported {e}"),
-        }
-    }
-
-    /// The shared Monte-Carlo accumulator behind every prediction entry
-    /// point: reconstructs `draws` independent draws (per-row seeded, so
-    /// the result is chunking- and thread-count-invariant), averages the
-    /// classifier's probabilities, and — when `check_finite` is set —
+    /// The Monte-Carlo accumulator behind every label: reconstructs
+    /// `draws` independent draws (per-row seeded, so the result is
+    /// chunking- and thread-count-invariant), averages the classifier's
+    /// probabilities, and takes one argmax. When `check_finite` is set it
     /// fails with the guarded path's [`ServeError::NonFiniteOutput`] on
-    /// the first non-finite reconstructed cell of any draw. Degraded
-    /// (pass-through) adapters collapse to a single draw: without a
-    /// reconstructor every draw is identical.
-    fn mc_proba_checked(
+    /// the first non-finite reconstructed cell of any draw; that check is
+    /// its only error source. Degraded (pass-through) adapters collapse to
+    /// a single draw: without a reconstructor every draw is identical.
+    fn mc_labels(
         &self,
         features: &Matrix,
         threads: Option<usize>,
         precision: InferPrecision,
         draws: u64,
         check_finite: bool,
-    ) -> std::result::Result<Matrix, ServeError> {
+    ) -> std::result::Result<Vec<usize>, ServeError> {
         let fitted = self.fitted();
         let draws = if fitted.reconstructor.is_some() {
             draws.max(1)
@@ -382,11 +330,7 @@ impl FsGanAdapter {
         let draw_probs = |draw: u64| -> std::result::Result<Matrix, ServeError> {
             let out = self.reconstruct_batch_draw(features, threads, precision, draw);
             if check_finite {
-                for r in 0..out.rows() {
-                    if let Some(c) = out.row(r).iter().position(|v| !v.is_finite()) {
-                        return Err(ServeError::NonFiniteOutput { row: r, col: c });
-                    }
-                }
+                check_finite_output(&out)?;
             }
             Ok(fitted.classifier.predict_proba_with(&out, precision))
         };
@@ -398,7 +342,7 @@ impl FsGanAdapter {
                 .try_add(&draw_probs(draw)?)
                 .unwrap_or_else(|e| panic!("predict_proba shape invariant: {e}"));
         }
-        Ok(acc.scale(1.0 / draws as f64))
+        Ok(argmax_rows(&acc.scale(1.0 / draws as f64)))
     }
 
     /// Number of classes.
@@ -410,40 +354,30 @@ impl FsGanAdapter {
         self.fitted().num_classes
     }
 
-    /// The batched serving hot path: transforms raw target features like
-    /// [`FsGanAdapter::transform`], but with one independent noise seed per
-    /// row and the normalization + generator forward passes amortized over
-    /// row chunks on the shared worker pool (`threads: None` uses every
-    /// core).
+    /// The batched reconstruction hot path: one generator draw for raw
+    /// target features — invariant features pass through normalized,
+    /// variant features are reconstructed (Eq. 10–11) — with one
+    /// independent noise seed per row and the normalization + generator
+    /// forward passes amortized over row chunks on the shared worker pool
+    /// (`threads: None` uses every core). [`InferPrecision::F32Fast`] runs
+    /// the reconstructor's compiled single-precision plan, trading a small
+    /// bounded divergence for throughput; the separation/normalization
+    /// arithmetic around the generator always stays in `f64`.
     ///
-    /// The output is **bit-identical for every thread count**, including
-    /// the per-sample reference loop [`FsGanAdapter::reconstruct_scalar`]:
-    /// row `r`'s noise depends only on the adapter seed and `r`, never on
-    /// how rows are chunked or scheduled.
+    /// At [`InferPrecision::F64Exact`] the output is **bit-identical for
+    /// every thread count**, including the per-sample reference loop
+    /// [`FsGanAdapter::reconstruct_scalar`]: row `r`'s noise depends only
+    /// on the adapter seed and `r`, never on how rows are chunked or
+    /// scheduled.
     ///
     /// This is the unguarded fast path: input is assumed validated.
     /// NaN/Inf cells propagate garbage-in/garbage-out into the output; use
-    /// [`FsGanAdapter::try_reconstruct_batch`] on untrusted telemetry.
+    /// [`FsGanAdapter::try_reconstruct_batch_with`] on untrusted telemetry.
     ///
     /// # Panics
     ///
     /// Panics when `features` has a different column count than the fitted
     /// data.
-    pub fn reconstruct_batch(&self, features: &Matrix, threads: Option<usize>) -> Matrix {
-        self.reconstruct_batch_with(features, threads, InferPrecision::F64Exact)
-    }
-
-    /// [`FsGanAdapter::reconstruct_batch`] at an explicit numeric
-    /// precision. [`InferPrecision::F64Exact`] is bit-identical to
-    /// `reconstruct_batch` (and to [`FsGanAdapter::reconstruct_scalar`]);
-    /// [`InferPrecision::F32Fast`] runs the reconstructor's compiled
-    /// single-precision plan, trading a small bounded divergence for
-    /// throughput. The separation/normalization arithmetic around the
-    /// generator always stays in `f64`.
-    ///
-    /// # Panics
-    ///
-    /// As [`FsGanAdapter::reconstruct_batch`].
     pub fn reconstruct_batch_with(
         &self,
         features: &Matrix,
@@ -506,10 +440,11 @@ impl FsGanAdapter {
         out
     }
 
-    /// Per-sample reference loop for [`FsGanAdapter::reconstruct_batch`]:
-    /// transforms one row at a time through the scalar reconstruction
-    /// entry point. Slow by construction; exists so tests and benches can
-    /// pin the batched path to it bit-for-bit.
+    /// Per-sample reference loop for [`FsGanAdapter::reconstruct_batch_with`]
+    /// at [`InferPrecision::F64Exact`]: transforms one row at a time
+    /// through the scalar reconstruction entry point. Slow by
+    /// construction; exists so tests and benches can pin the batched path
+    /// to it bit-for-bit.
     pub fn reconstruct_scalar(&self, features: &Matrix) -> Matrix {
         let fitted = self.fitted();
         let base = self.seed ^ 0x11FE;
@@ -529,45 +464,12 @@ impl FsGanAdapter {
         out
     }
 
-    /// Batched prediction: class probabilities averaged over [`MC_DRAWS`]
-    /// per-row-seeded reconstruction draws, then one argmax. Like the
-    /// reconstruction itself, the predictions are identical for every
-    /// thread count.
-    ///
-    /// This is the unguarded fast path; it inherits the contract of
-    /// [`FsGanAdapter::reconstruct_batch`]. Use
-    /// [`FsGanAdapter::try_predict_batch`] on untrusted telemetry.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `features` has a different column count than the fitted
-    /// data.
-    pub fn predict_batch(&self, features: &Matrix, threads: Option<usize>) -> Vec<usize> {
-        self.predict_batch_with(features, threads, InferPrecision::F64Exact)
-    }
-
-    /// [`FsGanAdapter::predict_batch`] at an explicit numeric precision:
-    /// both the reconstructor and the classifier forward passes run at
-    /// `precision`. [`InferPrecision::F64Exact`] is bit-identical to
-    /// `predict_batch`.
-    ///
-    /// # Panics
-    ///
-    /// As [`FsGanAdapter::predict_batch`].
-    pub fn predict_batch_with(
-        &self,
-        features: &Matrix,
-        threads: Option<usize>,
-        precision: InferPrecision,
-    ) -> Vec<usize> {
-        argmax_rows(&self.mc_proba_with(features, threads, precision))
-    }
-
-    /// Guarded variant of [`FsGanAdapter::reconstruct_batch`]: validates
-    /// the batch against the source-fitted normalizer and `guard` before
-    /// reconstruction (rejecting or repairing corrupt cells), then verifies
-    /// the output is fully finite. A clean batch takes the identical
-    /// reconstruction path and returns bit-identical output.
+    /// Guarded variant of [`FsGanAdapter::reconstruct_batch_with`]:
+    /// validates the batch against the source-fitted normalizer and
+    /// `guard` before reconstruction (rejecting or repairing corrupt
+    /// cells), then verifies the output is fully finite. A clean batch
+    /// takes the identical reconstruction path and returns bit-identical
+    /// output.
     ///
     /// # Errors
     ///
@@ -576,23 +478,6 @@ impl FsGanAdapter {
     /// the first corrupt input cell under [`crate::InputPolicy::Reject`];
     /// [`ServeError::NonFiniteOutput`] when the pipeline itself emits a
     /// non-finite value (corrupt artifact or diverged reconstructor).
-    pub fn try_reconstruct_batch(
-        &self,
-        features: &Matrix,
-        threads: Option<usize>,
-        guard: &GuardConfig,
-    ) -> std::result::Result<Matrix, ServeError> {
-        self.try_reconstruct_batch_with(features, threads, guard, InferPrecision::F64Exact)
-    }
-
-    /// [`FsGanAdapter::try_reconstruct_batch`] at an explicit numeric
-    /// precision. The input validation and the finite-output check are
-    /// identical at both precisions; only the generator forward pass
-    /// changes.
-    ///
-    /// # Errors
-    ///
-    /// As [`FsGanAdapter::try_reconstruct_batch`].
     pub fn try_reconstruct_batch_with(
         &self,
         features: &Matrix,
@@ -601,53 +486,10 @@ impl FsGanAdapter {
         precision: InferPrecision,
     ) -> std::result::Result<Matrix, ServeError> {
         let repaired = sanitize_batch(features, self.fitted().separation.normalizer(), guard)?;
-        let clean = repaired.as_ref().unwrap_or(features);
-        let out = self.reconstruct_batch_with(clean, threads, precision);
-        for r in 0..out.rows() {
-            if let Some(c) = out.row(r).iter().position(|v| !v.is_finite()) {
-                return Err(ServeError::NonFiniteOutput { row: r, col: c });
-            }
-        }
+        let out =
+            self.reconstruct_batch_with(repaired.as_ref().unwrap_or(features), threads, precision);
+        check_finite_output(&out)?;
         Ok(out)
-    }
-
-    /// Guarded variant of [`FsGanAdapter::predict_batch`]: the batch is
-    /// validated (and possibly repaired) once, then every Monte-Carlo
-    /// reconstruction draw is checked for finiteness before its
-    /// probabilities enter the average, so predictions are never derived
-    /// from non-finite reconstructions. A clean batch takes the identical
-    /// Monte-Carlo path as `predict_batch` and returns the same labels.
-    ///
-    /// # Errors
-    ///
-    /// As [`FsGanAdapter::try_reconstruct_batch`].
-    pub fn try_predict_batch(
-        &self,
-        features: &Matrix,
-        threads: Option<usize>,
-        guard: &GuardConfig,
-    ) -> std::result::Result<Vec<usize>, ServeError> {
-        self.try_predict_batch_with(features, threads, guard, InferPrecision::F64Exact)
-    }
-
-    /// [`FsGanAdapter::try_predict_batch`] at an explicit numeric
-    /// precision; both forward passes run at `precision`.
-    ///
-    /// # Errors
-    ///
-    /// As [`FsGanAdapter::try_reconstruct_batch`].
-    pub fn try_predict_batch_with(
-        &self,
-        features: &Matrix,
-        threads: Option<usize>,
-        guard: &GuardConfig,
-        precision: InferPrecision,
-    ) -> std::result::Result<Vec<usize>, ServeError> {
-        let repaired = sanitize_batch(features, self.fitted().separation.normalizer(), guard)?;
-        let clean = repaired.as_ref().unwrap_or(features);
-        Ok(argmax_rows(&self.mc_proba_checked(
-            clean, threads, precision, MC_DRAWS, true,
-        )?))
     }
 
     /// Serializes the fitted pipeline — FS partition with config
@@ -774,6 +616,16 @@ impl FsGanAdapter {
     }
 }
 
+/// The guarded paths' output check: the first non-finite cell, if any.
+fn check_finite_output(out: &Matrix) -> std::result::Result<(), ServeError> {
+    for r in 0..out.rows() {
+        if let Some(c) = out.row(r).iter().position(|v| !v.is_finite()) {
+            return Err(ServeError::NonFiniteOutput { row: r, col: c });
+        }
+    }
+    Ok(())
+}
+
 impl crate::pipeline::DriftMitigator for FsGanAdapter {
     fn method(&self) -> crate::Method {
         match self.config.recon {
@@ -807,40 +659,22 @@ impl crate::pipeline::DriftMitigator for FsGanAdapter {
         self.try_fit_in_place(source, target_shots, guard)
     }
 
-    fn predict(&self, features: &Matrix) -> Vec<usize> {
-        let _span = observe::call_span(observe::Call::Predict, self.method());
-        FsGanAdapter::predict(self, features)
-    }
-
-    fn predict_batch(&self, features: &Matrix, threads: Option<usize>) -> Vec<usize> {
-        let _span = observe::call_span(observe::Call::PredictBatch, self.method());
-        FsGanAdapter::predict_batch(self, features, threads)
-    }
-
-    fn try_predict_batch(
-        &self,
-        features: &Matrix,
-        threads: Option<usize>,
-        guard: &GuardConfig,
-    ) -> std::result::Result<Vec<usize>, ServeError> {
-        let _span = observe::call_span(observe::Call::TryPredictBatch, self.method());
-        if fsda_telemetry::enabled() && self.is_fitted() && self.degraded().is_some() {
-            fsda_telemetry::counter("serve.degraded_requests", 1);
-        }
-        FsGanAdapter::try_predict_batch(self, features, threads, guard)
-    }
-
     fn predict_batch_with(
         &self,
         features: &Matrix,
         threads: Option<usize>,
         precision: InferPrecision,
     ) -> Vec<usize> {
-        let _span = observe::call_span(observe::Call::PredictBatch, self.method());
+        let _span = observe::call_span(observe::Call::Predict, self.method());
         observe::note_precision(precision);
-        FsGanAdapter::predict_batch_with(self, features, threads, precision)
+        self.mc_labels(features, threads, precision, MC_DRAWS, false)
+            .unwrap_or_else(|e| unreachable!("unchecked Monte-Carlo accumulation reported {e}"))
     }
 
+    /// The batch is validated (and possibly repaired) once, then every
+    /// Monte-Carlo draw is checked for finiteness before its probabilities
+    /// enter the average, so labels are never derived from non-finite
+    /// reconstructions.
     fn try_predict_batch_with(
         &self,
         features: &Matrix,
@@ -853,7 +687,9 @@ impl crate::pipeline::DriftMitigator for FsGanAdapter {
         if fsda_telemetry::enabled() && self.is_fitted() && self.degraded().is_some() {
             fsda_telemetry::counter("serve.degraded_requests", 1);
         }
-        FsGanAdapter::try_predict_batch_with(self, features, threads, guard, precision)
+        let repaired = sanitize_batch(features, self.fitted().separation.normalizer(), guard)?;
+        let clean = repaired.as_ref().unwrap_or(features);
+        self.mc_labels(clean, threads, precision, MC_DRAWS, true)
     }
 
     fn to_bytes(&self) -> Result<Vec<u8>> {

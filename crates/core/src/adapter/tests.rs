@@ -1,6 +1,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use super::*;
+use crate::pipeline::DriftMitigator;
 use crate::serve::{FitError, GuardConfig, InputPolicy, ServeError};
 use fsda_data::fewshot::few_shot_subset;
 use fsda_data::synth5gc::Synth5gc;
@@ -8,7 +9,7 @@ use fsda_data::Dataset;
 use fsda_gan::WatchdogConfig;
 use fsda_linalg::{Matrix, SeededRng};
 use fsda_models::metrics::macro_f1;
-use fsda_models::ClassifierKind;
+use fsda_models::{ClassifierKind, InferPrecision};
 
 fn setup(seed: u64) -> (fsda_data::synth5gc::Synth5gcBundle, Dataset) {
     let bundle = Synth5gc::small().generate(seed).unwrap();
@@ -73,11 +74,15 @@ fn fs_gan_adapter_beats_source_only() {
 }
 
 #[test]
-fn transform_restores_source_range_on_variant_columns() {
+fn reconstruction_restores_source_range_on_variant_columns() {
     let (bundle, shots) = setup(3);
     let cfg = AdapterConfig::quick().with_classifier(ClassifierKind::RandomForest);
     let adapter = FsGanAdapter::fit(&bundle.source_train, &shots, &cfg, 11).unwrap();
-    let transformed = adapter.transform(bundle.target_test.features());
+    let transformed = adapter.reconstruct_batch_with(
+        bundle.target_test.features(),
+        None,
+        InferPrecision::F64Exact,
+    );
     // Variant columns were reconstructed by the tanh generator: bounded.
     for &c in adapter.separation().variant() {
         let col = transformed.col(c);
@@ -89,15 +94,19 @@ fn transform_restores_source_range_on_variant_columns() {
 }
 
 #[test]
-fn mc_prediction_with_small_noise_matches_single_draw() {
+fn mc_prediction_agrees_with_fewer_draws() {
     let (bundle, shots) = setup(4);
     let cfg = AdapterConfig::quick().with_classifier(ClassifierKind::RandomForest);
     let adapter = FsGanAdapter::fit(&bundle.source_train, &shots, &cfg, 13).unwrap();
-    let single = adapter.predict(bundle.target_test.features());
-    let mc = adapter.predict_mc(bundle.target_test.features(), 3);
+    let served = adapter.predict(bundle.target_test.features());
+    assert_eq!(
+        adapter.predict_mc(bundle.target_test.features(), Some(1), MC_DRAWS),
+        served
+    );
+    let mc = adapter.predict_mc(bundle.target_test.features(), None, 3);
     let agreement =
-        single.iter().zip(&mc).filter(|(a, b)| a == b).count() as f64 / single.len() as f64;
-    assert!(agreement > 0.8, "M=1 vs M=3 agreement {agreement}");
+        served.iter().zip(&mc).filter(|(a, b)| a == b).count() as f64 / served.len() as f64;
+    assert!(agreement > 0.8, "M={MC_DRAWS} vs M=3 agreement {agreement}");
 }
 
 #[test]
@@ -123,10 +132,9 @@ fn save_load_round_trip_is_bit_identical() {
     assert_eq!(loaded.to_bytes().unwrap(), bytes);
     let x = bundle.target_test.features();
     assert_eq!(loaded.predict(x), adapter.predict(x));
-    assert_eq!(loaded.transform(x), adapter.transform(x));
     assert_eq!(
-        loaded.reconstruct_batch(x, Some(2)),
-        adapter.reconstruct_batch(x, Some(2))
+        loaded.reconstruct_batch_with(x, Some(2), InferPrecision::F64Exact),
+        adapter.reconstruct_batch_with(x, Some(2), InferPrecision::F64Exact)
     );
     assert_eq!(
         loaded.separation().variant(),
@@ -161,7 +169,7 @@ fn batched_reconstruction_is_thread_count_invariant() {
     let scalar = adapter.reconstruct_scalar(x);
     for threads in [1, 2, 4] {
         assert_eq!(
-            adapter.reconstruct_batch(x, Some(threads)),
+            adapter.reconstruct_batch_with(x, Some(threads), InferPrecision::F64Exact),
             scalar,
             "threads = {threads}"
         );
@@ -218,7 +226,7 @@ fn try_predict_batch_guards_malformed_batches() {
     for policy in [InputPolicy::ImputeSourceMean, InputPolicy::Clamp] {
         let guard = GuardConfig::default().with_policy(policy);
         let recon = adapter
-            .try_reconstruct_batch(&poisoned, None, &guard)
+            .try_reconstruct_batch_with(&poisoned, None, &guard, InferPrecision::F64Exact)
             .unwrap();
         assert!(
             (0..recon.rows()).all(|r| recon.row(r).iter().all(|v| v.is_finite())),
@@ -236,9 +244,12 @@ fn try_predict_batch_guards_malformed_batches() {
 
     // FsAdapter mirrors the same guard.
     let fs = FsAdapter::fit(&bundle.source_train, &shots, &cfg, 23).unwrap();
-    assert_eq!(fs.try_predict(clean, &reject).unwrap(), fs.predict(clean));
     assert_eq!(
-        fs.try_predict(&poisoned, &reject),
+        fs.try_predict_batch(clean, None, &reject).unwrap(),
+        fs.predict(clean)
+    );
+    assert_eq!(
+        fs.try_predict_batch(&poisoned, None, &reject),
         Err(ServeError::NonFinite { row: 3, col: 2 })
     );
 }
@@ -316,7 +327,7 @@ fn degenerate_separations_serve_pass_through() {
 
     // Pass-through serving: reconstruction is just normalization.
     let batch = bundle.target_test.features();
-    let recon = adapter.reconstruct_batch(batch, None);
+    let recon = adapter.reconstruct_batch_with(batch, None, InferPrecision::F64Exact);
     let expected = adapter.separation().normalizer().transform(batch);
     for r in 0..recon.rows() {
         assert_eq!(recon.row(r), expected.row(r));

@@ -31,6 +31,7 @@
 //!
 //! ```no_run
 //! use fsda_core::adapter::{AdapterConfig, FsGanAdapter};
+//! use fsda_core::DriftMitigator;
 //! use fsda_data::synth5gc::Synth5gc;
 //! use fsda_data::fewshot::few_shot_subset;
 //! use fsda_linalg::SeededRng;

@@ -32,7 +32,7 @@ use crate::persist::{
 use crate::pipeline::{observe, DriftMitigator};
 use crate::serve::{sanitize_batch, GuardConfig, ServeError};
 use crate::{CoreError, Result};
-use fsda_data::Dataset;
+use fsda_data::{Dataset, Normalizer};
 use fsda_linalg::{Matrix, SeededRng};
 use fsda_models::embedding::{EmbeddingConfig, EmbeddingNet};
 use fsda_models::{restore_classifier, ClassifierKind, InferPrecision};
@@ -79,6 +79,35 @@ impl Fitted {
             Fitted::ProtoNet(p) => p.num_classes,
             Fitted::Fada(p) => p.num_classes,
             Fitted::Fmaa(p) => p.num_classes,
+        }
+    }
+
+    /// The normalizer the shape standardizes its input with (for ICD, over
+    /// the kept columns only).
+    fn normalizer(&self) -> &Normalizer {
+        match self {
+            Fitted::Classifier(p) => &p.normalizer,
+            Fitted::Dann(p) => &p.normalizer,
+            Fitted::Scl(p) => &p.normalizer,
+            Fitted::MatchNet(p) => &p.normalizer,
+            Fitted::ProtoNet(p) => &p.normalizer,
+            Fitted::Fada(p) => &p.normalizer,
+            Fitted::Fmaa(p) => &p.normalizer,
+        }
+    }
+
+    /// Predicts a raw full-width batch. The plan-compiled shapes (FADA,
+    /// FMAA) run at `precision`; every other shape has only its exact
+    /// path.
+    fn predict_with(&self, features: &Matrix, precision: InferPrecision) -> Vec<usize> {
+        match self {
+            Fitted::Classifier(p) => p.predict(features),
+            Fitted::Dann(p) => p.predict(features),
+            Fitted::Scl(p) => p.predict(features),
+            Fitted::MatchNet(p) => p.predict(features),
+            Fitted::ProtoNet(p) => p.predict(features),
+            Fitted::Fada(p) => p.predict_with(features, precision),
+            Fitted::Fmaa(p) => p.predict_with(features, precision),
         }
     }
 }
@@ -179,27 +208,6 @@ impl BaselineMitigator {
         match &self.fitted {
             Some(fitted) => fitted,
             None => panic!("BaselineMitigator: use before fit"),
-        }
-    }
-
-    /// Shared prediction dispatch; the trait's `predict` and
-    /// `predict_batch` wrap this in their own telemetry spans.
-    fn predict_inner(&self, features: &Matrix) -> Vec<usize> {
-        self.predict_inner_with(features, InferPrecision::F64Exact)
-    }
-
-    /// Precision-aware prediction dispatch: the plan-compiled baselines
-    /// (FADA, FMAA) thread the hint into their kernels; every other shape
-    /// stays on its exact path regardless.
-    fn predict_inner_with(&self, features: &Matrix, precision: InferPrecision) -> Vec<usize> {
-        match self.fitted() {
-            Fitted::Classifier(p) => p.predict(features),
-            Fitted::Dann(p) => p.predict(features),
-            Fitted::Scl(p) => p.predict(features),
-            Fitted::MatchNet(p) => p.predict(features),
-            Fitted::ProtoNet(p) => p.predict(features),
-            Fitted::Fada(p) => p.predict_with(features, precision),
-            Fitted::Fmaa(p) => p.predict_with(features, precision),
         }
     }
 
@@ -511,23 +519,26 @@ impl DriftMitigator for BaselineMitigator {
         Ok(())
     }
 
-    fn predict(&self, features: &Matrix) -> Vec<usize> {
+    fn predict_batch_with(
+        &self,
+        features: &Matrix,
+        _threads: Option<usize>,
+        precision: InferPrecision,
+    ) -> Vec<usize> {
         let _span = observe::call_span(observe::Call::Predict, self.method);
-        self.predict_inner(features)
+        observe::note_precision(precision);
+        self.fitted().predict_with(features, precision)
     }
 
-    fn predict_batch(&self, features: &Matrix, _threads: Option<usize>) -> Vec<usize> {
-        let _span = observe::call_span(observe::Call::PredictBatch, self.method);
-        self.predict_inner(features)
-    }
-
-    fn try_predict_batch(
+    fn try_predict_batch_with(
         &self,
         features: &Matrix,
         _threads: Option<usize>,
         guard: &GuardConfig,
+        precision: InferPrecision,
     ) -> std::result::Result<Vec<usize>, ServeError> {
         let _span = observe::call_span(observe::Call::TryPredictBatch, self.method);
+        observe::note_precision(precision);
         let fitted = self.fitted();
         if features.cols() != fitted.num_features() {
             return Err(crate::serve::rejected(ServeError::DimensionMismatch {
@@ -535,93 +546,23 @@ impl DriftMitigator for BaselineMitigator {
                 got: features.cols(),
             }));
         }
-        match fitted {
-            // ICD trains on a column subset; reduce first so the guard
-            // checks against the normalizer the classifier actually uses.
-            Fitted::Classifier(p) => match &p.columns {
-                Some(cols) => {
-                    let reduced = features.select_cols(cols);
-                    let repaired = sanitize_batch(&reduced, &p.normalizer, guard)?;
-                    Ok(p.predict_reduced(repaired.as_ref().unwrap_or(&reduced)))
-                }
-                None => {
-                    let repaired = sanitize_batch(features, &p.normalizer, guard)?;
-                    Ok(p.predict_reduced(repaired.as_ref().unwrap_or(features)))
-                }
+        // ICD trains on a column subset: reduce first so the guard checks
+        // against the normalizer the classifier actually uses, and report
+        // a corrupt cell at the caller's column, not the subset's.
+        if let Fitted::Classifier(
+            p @ ClassifierParts {
+                columns: Some(cols),
+                ..
             },
-            Fitted::Dann(p) => {
-                let repaired = sanitize_batch(features, &p.normalizer, guard)?;
-                Ok(p.predict(repaired.as_ref().unwrap_or(features)))
-            }
-            Fitted::Scl(p) => {
-                let repaired = sanitize_batch(features, &p.normalizer, guard)?;
-                Ok(p.predict(repaired.as_ref().unwrap_or(features)))
-            }
-            Fitted::MatchNet(p) => {
-                let repaired = sanitize_batch(features, &p.normalizer, guard)?;
-                Ok(p.predict(repaired.as_ref().unwrap_or(features)))
-            }
-            Fitted::ProtoNet(p) => {
-                let repaired = sanitize_batch(features, &p.normalizer, guard)?;
-                Ok(p.predict(repaired.as_ref().unwrap_or(features)))
-            }
-            Fitted::Fada(p) => {
-                let repaired = sanitize_batch(features, &p.normalizer, guard)?;
-                Ok(p.predict(repaired.as_ref().unwrap_or(features)))
-            }
-            Fitted::Fmaa(p) => {
-                let repaired = sanitize_batch(features, &p.normalizer, guard)?;
-                Ok(p.predict(repaired.as_ref().unwrap_or(features)))
-            }
+        ) = fitted
+        {
+            let reduced = features.select_cols(cols);
+            let repaired =
+                sanitize_batch(&reduced, &p.normalizer, guard).map_err(|e| e.at_columns(cols))?;
+            return Ok(p.predict_reduced(repaired.as_ref().unwrap_or(&reduced)));
         }
-    }
-
-    fn predict_batch_with(
-        &self,
-        features: &Matrix,
-        _threads: Option<usize>,
-        precision: InferPrecision,
-    ) -> Vec<usize> {
-        observe::note_precision(precision);
-        let _span = observe::call_span(observe::Call::PredictBatch, self.method);
-        self.predict_inner_with(features, precision)
-    }
-
-    fn try_predict_batch_with(
-        &self,
-        features: &Matrix,
-        threads: Option<usize>,
-        guard: &GuardConfig,
-        precision: InferPrecision,
-    ) -> std::result::Result<Vec<usize>, ServeError> {
-        observe::note_precision(precision);
-        match self.fitted() {
-            // The plan-compiled shapes sanitize and then run at the
-            // requested precision; everything else keeps the exact path.
-            Fitted::Fada(p) => {
-                let _span = observe::call_span(observe::Call::TryPredictBatch, self.method);
-                if features.cols() != p.num_features {
-                    return Err(crate::serve::rejected(ServeError::DimensionMismatch {
-                        expected: p.num_features,
-                        got: features.cols(),
-                    }));
-                }
-                let repaired = sanitize_batch(features, &p.normalizer, guard)?;
-                Ok(p.predict_with(repaired.as_ref().unwrap_or(features), precision))
-            }
-            Fitted::Fmaa(p) => {
-                let _span = observe::call_span(observe::Call::TryPredictBatch, self.method);
-                if features.cols() != p.num_features {
-                    return Err(crate::serve::rejected(ServeError::DimensionMismatch {
-                        expected: p.num_features,
-                        got: features.cols(),
-                    }));
-                }
-                let repaired = sanitize_batch(features, &p.normalizer, guard)?;
-                Ok(p.predict_with(repaired.as_ref().unwrap_or(features), precision))
-            }
-            _ => self.try_predict_batch(features, threads, guard),
-        }
+        let repaired = sanitize_batch(features, fitted.normalizer(), guard)?;
+        Ok(fitted.predict_with(repaired.as_ref().unwrap_or(features), precision))
     }
 
     fn to_bytes(&self) -> Result<Vec<u8>> {

@@ -1,19 +1,15 @@
-//! The composable stage pipeline and the unified mitigation interface.
+//! The uniform mitigation interface and the method registry.
 //!
 //! The paper's central claim is that drift mitigation is *model-agnostic*:
 //! separation, reconstruction, and classification are independent stages
-//! that compose with any downstream classifier. This module makes that
-//! compositionality a first-class API instead of an implementation detail:
+//! that compose with any downstream classifier. This module makes every
+//! method — the paper's pipeline and every baseline — servable through one
+//! interface:
 //!
-//! - [`stage`] defines the per-stage traits ([`SeparatorStage`],
-//!   [`ReconstructorStage`], [`ClassifierStage`]) over [`Matrix`] batches,
-//!   so the building blocks of a pipeline can be named, swapped, and tested
-//!   in isolation.
 //! - [`DriftMitigator`] is the uniform end-to-end interface — `fit`,
-//!   `try_fit`, `predict`, `predict_batch`, `try_predict_batch`,
-//!   `to_bytes`, `health` — implemented by [`crate::FsAdapter`],
-//!   [`crate::FsGanAdapter`], and every baseline via
-//!   [`BaselineMitigator`].
+//!   `try_fit`, the prediction entry points, `to_bytes`, `health` —
+//!   implemented by [`crate::FsAdapter`], [`crate::FsGanAdapter`], and
+//!   every baseline via [`BaselineMitigator`].
 //! - [`registry`] turns a [`Method`] into a boxed mitigator
 //!   ([`Method::build`]) and restores one from artifact bytes
 //!   ([`restore`]), replacing per-call-site `match` dispatch.
@@ -46,11 +42,9 @@ pub mod baseline;
 pub mod fit_common;
 pub(crate) mod observe;
 pub mod registry;
-pub mod stage;
 
 pub use baseline::BaselineMitigator;
 pub use registry::restore;
-pub use stage::{ClassifierStage, ReconstructorStage, SeparatorStage, Stage};
 
 use crate::method::Method;
 use crate::serve::{FitError, GuardConfig, ServeError};
@@ -69,12 +63,18 @@ use fsda_models::InferPrecision;
 /// without naming concrete types; [`restore`] brings an artifact back as
 /// one.
 ///
-/// Two prediction entry points exist because the FS+GAN family is
-/// stochastic at inference: [`DriftMitigator::predict`] is the experiment
-/// path (one noise draw per batch, Eq. 12's M = 1), while
-/// [`DriftMitigator::predict_batch`] is the serving path (one independent
-/// noise seed per row, bit-identical at every thread count). Deterministic
-/// mitigators serve both from the same code path.
+/// Every label is the same computation: the paper's inference path
+/// (separate, reconstruct the variant block, classify with the frozen
+/// source model; Eq. 10–12), which for the FS+GAN family averages class
+/// probabilities over [`crate::adapter::MC_DRAWS`] per-row-seeded generator
+/// draws, so labels are identical at every batch size and thread count.
+/// An implementation writes that path twice:
+/// [`DriftMitigator::predict_batch_with`] (unguarded, for trusted input)
+/// and [`DriftMitigator::try_predict_batch_with`] (guarded, the only
+/// required prediction method). The other three names are one-line
+/// forwarders at [`InferPrecision::F64Exact`]. They stay because callers
+/// and out-of-tree decorators name them: the serving layer calls the
+/// guarded pair, experiments call `predict` and `predict_batch`.
 ///
 /// The trait requires `Send + Sync`: a fitted mitigator is immutable at
 /// serving time (all prediction entry points take `&self` and no
@@ -126,87 +126,90 @@ pub trait DriftMitigator: std::fmt::Debug + Send + Sync {
         Ok(())
     }
 
-    /// Predicts labels for raw target features (the experiment path; for
-    /// the FS+GAN family this is one Monte-Carlo draw for the whole batch).
+    /// Predicts labels for raw target features:
+    /// [`DriftMitigator::predict_batch`] on every core.
     ///
     /// # Panics
     ///
     /// Panics when the mitigator has not been fitted or on a column-count
     /// mismatch.
-    fn predict(&self, features: &Matrix) -> Vec<usize>;
+    fn predict(&self, features: &Matrix) -> Vec<usize> {
+        self.predict_batch_with(features, None, InferPrecision::F64Exact)
+    }
 
-    /// Batched serving prediction. For the FS+GAN family this uses one
-    /// independent noise seed per row and parallelizes over row chunks
-    /// (bit-identical at every thread count); deterministic mitigators
-    /// ignore `threads`.
+    /// Unguarded prediction at [`InferPrecision::F64Exact`]. `threads`
+    /// bounds the worker pool for mitigators that parallelize over row
+    /// chunks (`None` uses every core); labels do not depend on it.
     ///
     /// # Panics
     ///
     /// As [`DriftMitigator::predict`].
     fn predict_batch(&self, features: &Matrix, threads: Option<usize>) -> Vec<usize> {
-        let _ = threads;
-        self.predict(features)
+        self.predict_batch_with(features, threads, InferPrecision::F64Exact)
     }
 
-    /// Guarded variant of [`DriftMitigator::predict_batch`]: validates the
-    /// batch (rejecting or repairing corrupt cells per `guard`) before
-    /// prediction.
+    /// Guarded prediction at [`InferPrecision::F64Exact`].
     ///
     /// # Errors
     ///
-    /// [`ServeError::DimensionMismatch`] on a column-count mismatch, and
-    /// the localized [`ServeError`] of the first corrupt cell under
-    /// [`crate::InputPolicy::Reject`].
+    /// As [`DriftMitigator::try_predict_batch_with`].
     fn try_predict_batch(
         &self,
         features: &Matrix,
         threads: Option<usize>,
         guard: &GuardConfig,
-    ) -> std::result::Result<Vec<usize>, ServeError>;
+    ) -> std::result::Result<Vec<usize>, ServeError> {
+        self.try_predict_batch_with(features, threads, guard, InferPrecision::F64Exact)
+    }
 
-    /// [`DriftMitigator::predict_batch`] at an explicit numeric precision.
+    /// Unguarded prediction at an explicit numeric precision: NaN/Inf
+    /// cells propagate into the networks unchecked.
     ///
-    /// [`InferPrecision::F64Exact`] (the default everywhere) must be
-    /// bit-identical to `predict_batch`; [`InferPrecision::F32Fast`] lets
-    /// mitigators with a compiled inference plan run the single-precision
-    /// kernels, trading a small bounded divergence for throughput. The
-    /// default implementation ignores the hint and serves the exact path,
-    /// so baselines without a fast path stay correct.
+    /// [`InferPrecision::F64Exact`] is bit-identical to the guarded path
+    /// on a clean batch; [`InferPrecision::F32Fast`] lets mitigators with
+    /// a compiled inference plan run the single-precision kernels,
+    /// trading a small bounded divergence for throughput, while the rest
+    /// serve the exact path. The in-tree mitigators count every call of
+    /// either `_with` method in
+    /// `pipeline.predict.precision.{f64_exact,f32_fast}`.
     ///
-    /// Every entry increments the
-    /// `pipeline.predict.precision.{f64_exact,f32_fast}` counter.
+    /// The default runs [`DriftMitigator::try_predict_batch_with`] under
+    /// [`GuardConfig::default`]; the in-tree mitigators override it with
+    /// a path that skips the input scan.
     ///
     /// # Panics
     ///
-    /// As [`DriftMitigator::predict_batch`].
+    /// As [`DriftMitigator::predict`]; the default also panics on every
+    /// error the guarded path reports.
     fn predict_batch_with(
         &self,
         features: &Matrix,
         threads: Option<usize>,
         precision: InferPrecision,
     ) -> Vec<usize> {
-        observe::note_precision(precision);
-        self.predict_batch(features, threads)
+        self.try_predict_batch_with(features, threads, &GuardConfig::default(), precision)
+            .unwrap_or_else(|e| panic!("{}: {e}", self.method()))
     }
 
-    /// [`DriftMitigator::try_predict_batch`] at an explicit numeric
-    /// precision; the serving precision policy enters here. The default
-    /// ignores the hint (exact path); see
-    /// [`DriftMitigator::predict_batch_with`] for the contract.
+    /// Guarded prediction at an explicit numeric precision; the serving
+    /// precision policy enters here. Validates the batch (rejecting or
+    /// repairing corrupt cells per `guard`) before prediction; a clean
+    /// batch gets the labels of [`DriftMitigator::predict_batch_with`].
     ///
     /// # Errors
     ///
-    /// As [`DriftMitigator::try_predict_batch`].
+    /// [`ServeError::DimensionMismatch`] on a column-count mismatch, the
+    /// localized [`ServeError`] of the first corrupt cell under
+    /// [`crate::InputPolicy::Reject`], and
+    /// [`ServeError::NonFiniteOutput`] when a reconstruction emits a
+    /// non-finite value.
     fn try_predict_batch_with(
         &self,
         features: &Matrix,
         threads: Option<usize>,
         guard: &GuardConfig,
         precision: InferPrecision,
-    ) -> std::result::Result<Vec<usize>, ServeError> {
-        observe::note_precision(precision);
-        self.try_predict_batch(features, threads, guard)
-    }
+    ) -> std::result::Result<Vec<usize>, ServeError>;
 
     /// Serializes the fitted mitigator into a versioned artifact (see
     /// [`crate::persist`] for the container format). [`restore`] reverses

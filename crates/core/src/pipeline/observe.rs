@@ -1,7 +1,8 @@
 //! Scoped telemetry spans for the [`DriftMitigator`] call surface.
 //!
-//! Every mitigator implementation wraps its trait entry points in a
-//! [`CallSpan`]: one per-method request counter on entry, one duration
+//! Every mitigator implementation wraps its fit entry points and its two
+//! prediction bodies (`predict_batch_with`, `try_predict_batch_with`) in
+//! a [`CallSpan`]: one per-method request counter on entry, one duration
 //! histogram observation on drop. The span is fully disarmed when no
 //! recorder is installed — no allocation, no `Instant::now()` — so the
 //! unguarded serving hot path stays within the no-op overhead budget.
@@ -18,11 +19,11 @@ use std::time::Instant;
 pub(crate) enum Call {
     /// `fit` / `try_fit`.
     Fit,
-    /// `predict` (the experiment path).
+    /// `predict_batch_with`, which `predict` and `predict_batch` forward
+    /// to (the unguarded path).
     Predict,
-    /// `predict_batch` (the unguarded serving path).
-    PredictBatch,
-    /// `try_predict_batch` (the guarded serving path).
+    /// `try_predict_batch_with`, which `try_predict_batch` forwards to
+    /// (the guarded serving path).
     TryPredictBatch,
 }
 
@@ -30,7 +31,7 @@ impl Call {
     fn counter_prefix(self) -> &'static str {
         match self {
             Call::Fit => "pipeline.fit.",
-            Call::Predict | Call::PredictBatch | Call::TryPredictBatch => "pipeline.predict.",
+            Call::Predict | Call::TryPredictBatch => "pipeline.predict.",
         }
     }
 
@@ -38,7 +39,6 @@ impl Call {
         match self {
             Call::Fit => "pipeline.fit.seconds",
             Call::Predict => "pipeline.predict.seconds",
-            Call::PredictBatch => "pipeline.predict_batch.seconds",
             Call::TryPredictBatch => "serve.predict_batch.seconds",
         }
     }
@@ -84,10 +84,9 @@ impl Drop for CallSpan {
     }
 }
 
-/// Counts one precision-policied prediction entry:
+/// Counts one prediction at its precision:
 /// `pipeline.predict.precision.{f64_exact,f32_fast}`. Called exactly once
-/// per `*_with` entry point (trait defaults and adapter overrides alike),
-/// so the two counters partition the precision-aware request stream.
+/// per prediction body, so the two counters partition every prediction.
 pub(crate) fn note_precision(precision: InferPrecision) {
     if telemetry::enabled() {
         telemetry::counter(

@@ -4,7 +4,8 @@
 //! Deployed pipelines ingest telemetry that the training code never saw:
 //! collectors emit NaN for missed counters, overflow to Inf, or ship rows
 //! whose values sit absurdly far outside the source support. The infallible
-//! serving methods ([`crate::FsGanAdapter::reconstruct_batch`] and friends)
+//! serving methods ([`crate::FsGanAdapter::reconstruct_batch_with`],
+//! [`crate::DriftMitigator::predict_batch_with`] and their forwarders)
 //! are garbage-in/garbage-out by contract; the `try_*` variants accept a
 //! [`GuardConfig`] that either rejects such rows with a localized
 //! [`ServeError`] or repairs them in place ([`InputPolicy::ImputeSourceMean`]
@@ -133,6 +134,17 @@ impl std::fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
+
+impl ServeError {
+    /// Maps an input cell's column through `cols`, for a batch validated
+    /// as the column subset `cols` of the caller's batch.
+    pub(crate) fn at_columns(mut self, cols: &[usize]) -> Self {
+        if let ServeError::NonFinite { col, .. } | ServeError::OutOfRange { col, .. } = &mut self {
+            *col = cols[*col];
+        }
+        self
+    }
+}
 
 impl From<ServeError> for CoreError {
     fn from(e: ServeError) -> Self {

@@ -1,11 +1,11 @@
 //! Property-based tests for the guarded serving path: whatever batch a
-//! caller throws at `try_reconstruct_batch`, the adapter returns a typed
+//! caller throws at `try_reconstruct_batch_with`, the adapter returns a typed
 //! error or a finite reconstruction — it never panics.
 
 use std::cell::OnceCell;
 
 use fsda_core::adapter::{AdapterConfig, FsGanAdapter};
-use fsda_core::{GuardConfig, InputPolicy, ServeError};
+use fsda_core::{DriftMitigator, GuardConfig, InferPrecision, InputPolicy, ServeError};
 use fsda_data::fewshot::few_shot_subset;
 use fsda_data::synth5gc::Synth5gc;
 use fsda_linalg::SeededRng;
@@ -57,7 +57,7 @@ proptest! {
         let guard = GuardConfig::default().with_policy(
             [InputPolicy::Reject, InputPolicy::ImputeSourceMean, InputPolicy::Clamp][policy],
         );
-        match adapter.try_reconstruct_batch(&batch, None, &guard) {
+        match adapter.try_reconstruct_batch_with(&batch, None, &guard, InferPrecision::F64Exact) {
             Ok(recon) => {
                 prop_assert_eq!(recon.rows(), rows);
                 prop_assert!(recon.is_finite());

@@ -15,7 +15,7 @@
 //! returned [`Ticket`] resolves to the prediction. On the shard thread the
 //! job pins its epoch slot, loads the tenant's current artifact (one
 //! atomic load — no lock anywhere in the request path), serves the batch
-//! through the guarded [`DriftMitigator::try_predict_batch`] entry point,
+//! through the guarded [`DriftMitigator::try_predict_batch_with`] entry point,
 //! and unpins. A request that began on artifact version *n* completes on
 //! version *n* even if a swap lands mid-request.
 //!

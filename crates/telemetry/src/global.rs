@@ -79,7 +79,7 @@ pub fn event(name: &str, fields: &[(&str, Value)]) {
 /// ```
 /// # fn predict() {}
 /// {
-///     let _span = fsda_telemetry::SpanTimer::new("pipeline.predict_batch.seconds");
+///     let _span = fsda_telemetry::SpanTimer::new("pipeline.predict.seconds");
 ///     predict();
 /// } // duration recorded here
 /// ```

@@ -10,6 +10,7 @@
 
 use fsda::core::adapter::{AdapterConfig, Budget, FsGanAdapter};
 use fsda::core::drift::{DriftConfig, DriftDetector};
+use fsda::core::DriftMitigator;
 use fsda::data::csv::{read_csv, write_csv};
 use fsda::data::fewshot::few_shot_subset;
 use fsda::data::synth5gipc::Synth5gipc;

@@ -5,6 +5,7 @@
 //! Run with: `cargo run --release --example fault_detection_5gipc`
 
 use fsda::core::adapter::{AdapterConfig, Budget, FsGanAdapter};
+use fsda::core::DriftMitigator;
 use fsda::data::fewshot::few_shot_indices;
 use fsda::data::synth5gipc::{Synth5gipc, NUM_GROUPS};
 use fsda::linalg::SeededRng;

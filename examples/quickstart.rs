@@ -5,6 +5,7 @@
 
 use fsda::core::adapter::{AdapterConfig, Budget, FsGanAdapter, ReconKind};
 use fsda::core::fs::FsConfig;
+use fsda::core::DriftMitigator;
 use fsda::data::fewshot::few_shot_subset;
 use fsda::data::synth5gc::Synth5gc;
 use fsda::linalg::SeededRng;

@@ -38,6 +38,7 @@
 //!
 //! ```no_run
 //! use fsda::core::adapter::{AdapterConfig, FsGanAdapter};
+//! use fsda::core::DriftMitigator;
 //! use fsda::data::fewshot::few_shot_subset;
 //! use fsda::data::synth5gc::Synth5gc;
 //! use fsda::linalg::SeededRng;

@@ -7,7 +7,7 @@
 use fsda::causal::ci::FisherZ;
 use fsda::core::adapter::{AdapterConfig, FsAdapter, FsGanAdapter};
 use fsda::core::fs::{FeatureSeparation, FsConfig};
-use fsda::core::{FitError, GuardConfig, InputPolicy};
+use fsda::core::{DriftMitigator, FitError, GuardConfig, InferPrecision, InputPolicy};
 use fsda::data::csv::{read_csv, write_csv};
 use fsda::data::dataset::Dataset;
 use fsda::data::faultinject::{CsvFault, Fault};
@@ -33,7 +33,7 @@ fn policies() -> [GuardConfig; 3] {
 /// (no fault in the canonical suite changes it).
 fn assert_serving_contract(adapter: &FsGanAdapter, fs: &FsAdapter, batch: &Matrix, label: &str) {
     for guard in policies() {
-        match adapter.try_reconstruct_batch(batch, None, &guard) {
+        match adapter.try_reconstruct_batch_with(batch, None, &guard, InferPrecision::F64Exact) {
             Ok(recon) => {
                 assert!(
                     recon.is_finite(),
@@ -51,7 +51,7 @@ fn assert_serving_contract(adapter: &FsGanAdapter, fs: &FsAdapter, batch: &Matri
             Ok(pred) => assert!(pred.iter().all(|&p| p < adapter.num_classes())),
             Err(_) => assert!(matches!(guard.policy, InputPolicy::Reject)),
         }
-        match fs.try_predict(batch, &guard) {
+        match fs.try_predict_batch(batch, None, &guard) {
             Ok(pred) => assert!(pred.iter().all(|&p| p < adapter.num_classes())),
             Err(_) => assert!(matches!(guard.policy, InputPolicy::Reject)),
         }

@@ -2,12 +2,13 @@
 //! fit → predict → persist → restore → predict through the uniform
 //! [`DriftMitigator`] interface, on both synthetic scenarios, and the
 //! restored mitigator must predict bit-identically to the one that was
-//! trained. This is what lets serving treat all eighteen methods as one
-//! `Box<dyn DriftMitigator>`.
+//! trained. Every prediction entry point must return the same labels, and
+//! guarded errors must point at the caller's cells. This is what lets
+//! serving treat all eighteen methods as one `Box<dyn DriftMitigator>`.
 
 use fsda::core::adapter::{peek_meta, AdapterConfig, Budget};
-use fsda::core::pipeline;
-use fsda::core::Method;
+use fsda::core::pipeline::{self, DriftMitigator};
+use fsda::core::{GuardConfig, InferPrecision, Method, ServeError};
 use fsda::data::fewshot::{few_shot_indices, few_shot_subset};
 use fsda::data::synth5gc::Synth5gc;
 use fsda::data::synth5gipc::{Synth5gipc, NUM_GROUPS};
@@ -176,4 +177,110 @@ fn every_method_round_trips_on_5gipc() {
     for method in all_methods() {
         exercise(method, &bundle.source_train, &shots, test, 66);
     }
+}
+
+/// All five prediction entry points of one mitigator on a clean batch,
+/// labelled for failure messages.
+fn every_entry_point(
+    mitigator: &dyn DriftMitigator,
+    test: &Matrix,
+) -> Vec<(&'static str, Vec<usize>)> {
+    let exact = InferPrecision::F64Exact;
+    let guard = GuardConfig::default();
+    let guarded = |r: Result<Vec<usize>, ServeError>| {
+        r.unwrap_or_else(|e| panic!("{}: clean batch rejected: {e}", mitigator.method()))
+    };
+    vec![
+        ("predict", mitigator.predict(test)),
+        (
+            "predict_batch(Some(1))",
+            mitigator.predict_batch(test, Some(1)),
+        ),
+        (
+            "predict_batch(Some(2))",
+            mitigator.predict_batch(test, Some(2)),
+        ),
+        ("predict_batch(None)", mitigator.predict_batch(test, None)),
+        (
+            "predict_batch_with(F64Exact)",
+            mitigator.predict_batch_with(test, None, exact),
+        ),
+        (
+            "try_predict_batch",
+            guarded(mitigator.try_predict_batch(test, None, &guard)),
+        ),
+        (
+            "try_predict_batch_with(F64Exact)",
+            guarded(mitigator.try_predict_batch_with(test, None, &guard, exact)),
+        ),
+    ]
+}
+
+/// The five prediction names are forwarders over two bodies per
+/// mitigator, so on a clean batch every one of them must return the
+/// labels of `predict` — for a freshly fitted mitigator and for its copy
+/// restored from bytes alike.
+#[test]
+fn every_entry_point_returns_the_same_labels() {
+    let bundle = Synth5gc::small().generate(81).unwrap();
+    let mut rng = SeededRng::new(82);
+    let shots = few_shot_subset(&bundle.target_pool, 10, &mut rng).unwrap();
+    let test = bundle.target_test.features();
+    for method in all_methods() {
+        let mut fitted = method.build(&tiny_config(), 83);
+        fitted
+            .fit(&bundle.source_train, &shots)
+            .unwrap_or_else(|e| panic!("{method}: fit failed: {e}"));
+        let restored = pipeline::restore(&fitted.to_bytes().unwrap()).unwrap();
+        let expected = fitted.predict(test);
+        for (copy, mitigator) in [("fitted", &fitted), ("restored", &restored)] {
+            for (entry, labels) in every_entry_point(mitigator.as_ref(), test) {
+                assert_eq!(
+                    labels, expected,
+                    "{method} ({copy}): {entry} disagrees with predict"
+                );
+            }
+        }
+    }
+}
+
+/// ICD trains on a column subset and validates only the columns it keeps,
+/// but a rejected cell must still be reported at the caller's column, not
+/// at its index within the subset.
+#[test]
+fn icd_guard_reports_the_callers_column() {
+    let bundle = Synth5gc::small().generate(1).unwrap();
+    let mut rng = SeededRng::new(2);
+    let shots = few_shot_subset(&bundle.target_pool, 10, &mut rng).unwrap();
+    let mut icd = Method::Icd.build(&tiny_config(), 3);
+    icd.fit(&bundle.source_train, &shots).unwrap();
+    let clean = bundle.target_test.features().select_rows(&[0, 1, 2]);
+    let guard = GuardConfig::default();
+    let mut checked = 0;
+    for col in 0..clean.cols() {
+        let mut nan = clean.clone();
+        nan.set(2, col, f64::NAN);
+        if let Err(e) = icd.try_predict_batch(&nan, None, &guard) {
+            assert_eq!(
+                e,
+                ServeError::NonFinite { row: 2, col },
+                "NaN at column {col}"
+            );
+            checked += 1;
+        }
+        let mut huge = clean.clone();
+        huge.set(1, col, 1e300);
+        match icd.try_predict_batch(&huge, None, &guard) {
+            Ok(_) => {}
+            Err(ServeError::OutOfRange { row, col: got, .. }) => {
+                assert_eq!((row, got), (1, col), "out-of-range cell at column {col}");
+            }
+            Err(e) => panic!("out-of-range cell at column {col}: unexpected {e}"),
+        }
+    }
+    // ICD drops the columns it deems variant, but it keeps most of them.
+    assert!(
+        checked > clean.cols() / 2,
+        "ICD validated only {checked} columns"
+    );
 }

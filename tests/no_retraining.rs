@@ -3,6 +3,7 @@
 //! drift is absorbed by re-fitting only the FS+GAN front-end.
 
 use fsda::core::adapter::{AdapterConfig, Budget, FsGanAdapter};
+use fsda::core::DriftMitigator;
 use fsda::data::fewshot::few_shot_indices;
 use fsda::data::synth5gipc::{Synth5gipc, NUM_GROUPS};
 use fsda::linalg::SeededRng;

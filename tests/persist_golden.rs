@@ -16,6 +16,7 @@ use fsda::core::persist::{
     crc32, read_container, write_container, PersistError, FORMAT_VERSION, TAG_CLSF, TAG_FSEP,
     TAG_META, TAG_NORM, TAG_RECN,
 };
+use fsda::core::DriftMitigator;
 use fsda::data::fewshot::few_shot_indices;
 use fsda::data::synth5gipc::{Synth5gipc, NUM_GROUPS};
 use fsda::data::Dataset;

@@ -5,6 +5,7 @@
 //! per-sample reference loop at every thread count.
 
 use fsda::core::adapter::{AdapterConfig, Budget, FsAdapter, FsGanAdapter};
+use fsda::core::{DriftMitigator, InferPrecision};
 use fsda::data::fewshot::{few_shot_indices, few_shot_subset};
 use fsda::data::synth5gc::Synth5gc;
 use fsda::data::synth5gipc::{Synth5gipc, NUM_GROUPS};
@@ -62,7 +63,7 @@ fn five_gc_pipeline_survives_disk_round_trip() {
     let scalar = adapter.reconstruct_scalar(x);
     for threads in [1, 2, 4] {
         assert_eq!(
-            loaded.reconstruct_batch(x, Some(threads)),
+            loaded.reconstruct_batch_with(x, Some(threads), InferPrecision::F64Exact),
             scalar,
             "threads = {threads}"
         );
@@ -107,7 +108,7 @@ fn five_gipc_pipeline_survives_disk_round_trip() {
     let scalar = adapter.reconstruct_scalar(x);
     for threads in [1, 2, 4] {
         assert_eq!(
-            loaded.reconstruct_batch(x, Some(threads)),
+            loaded.reconstruct_batch_with(x, Some(threads), InferPrecision::F64Exact),
             scalar,
             "threads = {threads}"
         );

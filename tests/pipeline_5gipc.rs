@@ -5,6 +5,7 @@
 use fsda::core::adapter::{AdapterConfig, Budget, FsGanAdapter};
 use fsda::core::experiment::{run_cell, ExperimentConfig, Scenario};
 use fsda::core::method::Method;
+use fsda::core::DriftMitigator;
 use fsda::data::fewshot::few_shot_indices;
 use fsda::data::synth5gipc::{Synth5gipc, NUM_GROUPS};
 use fsda::linalg::SeededRng;

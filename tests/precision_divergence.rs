@@ -1,8 +1,9 @@
 //! The precision-policy contract of the inference plane:
 //!
 //! 1. `F64Exact` is the default everywhere and is **bit-identical** to the
-//!    precision-oblivious entry points, for every reconstructor and
-//!    classifier family — the fast path may never perturb the exact one.
+//!    precision-oblivious entry points (for reconstruction, the per-sample
+//!    reference loop), for every reconstructor and classifier family — the
+//!    fast path may never perturb the exact one.
 //! 2. `F32Fast` stays within a small divergence envelope of the exact
 //!    path (the single-precision kernels only touch the network forward
 //!    passes; separation/normalization arithmetic stays in `f64`), and on
@@ -64,10 +65,14 @@ fn max_abs_diff(a: &Matrix, b: &Matrix) -> f64 {
 }
 
 fn exercise(adapter: &FsGanAdapter, probe: &Matrix, label: &str) {
-    // (1) The exact precision is bit-identical to the oblivious path.
-    let baseline = adapter.reconstruct_batch(probe, Some(2));
+    // (1) The exact precision is bit-identical to the per-sample
+    // reference loop.
     let exact = adapter.reconstruct_batch_with(probe, Some(2), InferPrecision::F64Exact);
-    assert_eq!(baseline, exact, "{label}: F64Exact must not perturb output");
+    assert_eq!(
+        adapter.reconstruct_scalar(probe),
+        exact,
+        "{label}: F64Exact must not perturb output"
+    );
     assert_eq!(
         adapter.predict_batch(probe, Some(2)),
         adapter.predict_batch_with(probe, Some(2), InferPrecision::F64Exact),
@@ -77,7 +82,7 @@ fn exercise(adapter: &FsGanAdapter, probe: &Matrix, label: &str) {
     // (2) The fast path stays inside the divergence envelope and flips no
     // hard predictions on this fixture.
     let fast = adapter.reconstruct_batch_with(probe, Some(2), InferPrecision::F32Fast);
-    let diff = max_abs_diff(&baseline, &fast);
+    let diff = max_abs_diff(&exact, &fast);
     assert!(
         diff < F32_ABS_TOL,
         "{label}: f32 divergence {diff:e} exceeds {F32_ABS_TOL:e}"
