@@ -3,17 +3,16 @@
 //! end-to-end detect → re-fit → validate → hot-swap latency through a
 //! live [`fsda_serve::DriftController`].
 //!
-//! **Warm vs cold.** A cold re-fit re-runs the full F-node search: fit
-//! the source normalizer, rebuild the (n_src + n_tgt) × d correlation
-//! structure, then stage the CI tests. A warm re-fit reuses the
-//! per-tenant [`fsda_core::fs::SeparationCache`] — source moments and
-//! Gram matrix are fixed across re-fits, so only the few target shots are
-//! folded in (O(n_tgt · d²) instead of O((n_src + n_tgt) · d²)) and the
-//! staged search is seeded with the previous skeleton. The cache itself
-//! is built once per tenant at boot, off the re-fit path, and is *not*
-//! part of the measured warm time. The headline claim this bench
+//! **Warm vs cold.** A cold fit builds the separation cache from scratch:
+//! fit the source normalizer, fold the n_src source rows into co-moments
+//! (O(n_src · d²)), then run the cached search. A warm re-fit reuses the
+//! per-tenant [`fsda_core::fs::SeparationCache`], so only the few target
+//! shots are folded in (O(n_tgt · d²)). The cache itself is built once
+//! per tenant at boot, off the re-fit path, and is *not* part of the
+//! measured warm time. Both run the same search, so their partitions must
+//! be equal (`partitions_agree`). The headline claim this bench
 //! regression-gates: **warm re-separation costs at most half of a cold
-//! search** on source-rich tenants (`max_warm_ratio <= 0.5`).
+//! fit** on source-rich tenants (`max_warm_ratio <= 0.5`).
 //!
 //! **Detect → swap.** A controller supervising a stale tenant is fed a
 //! drifted window; the recorded latency spans drift scoring, the few-shot
@@ -76,37 +75,20 @@ fn measure_separation(w: &Workload, reps: usize) -> SeparationRow {
     let mut rng = SeededRng::new(23);
     let shots = few_shot_subset(&bundle.target_pool, w.shots_per_class, &mut rng).expect("shots");
 
-    // Boot-time, per-tenant work — excluded from both measured paths.
+    // Boot-time, per-tenant work — excluded from the measured warm path.
     let cache = SeparationCache::new(&bundle.source_train, &config.fs).expect("cache");
-    let prev = FeatureSeparation::fit(&bundle.source_train, &shots, &config.fs)
-        .expect("skeleton")
-        .variant()
-        .to_vec();
 
     let (cold_ms, cold) = best_of(reps, || {
         FeatureSeparation::fit(&bundle.source_train, &shots, &config.fs).expect("cold fit")
     });
     let (warm_ms, warm) = best_of(reps, || {
-        let (sep, path) =
-            FeatureSeparation::fit_warm(&cache, &shots, Some(&prev)).expect("warm fit");
-        assert_eq!(path, SearchPath::Warm, "warm path must not fall back");
-        sep
+        FeatureSeparation::fit_warm(&cache, &shots, None)
+            .expect("warm fit")
+            .0
     });
 
-    // The two paths run numerically different (but deterministic)
-    // correlation builds; borderline features may flip. Record how far
-    // apart the partitions landed rather than asserting equality.
-    let sym_diff = cold
-        .variant()
-        .iter()
-        .filter(|v| !warm.variant().contains(v))
-        .count()
-        + warm
-            .variant()
-            .iter()
-            .filter(|v| !cold.variant().contains(v))
-            .count();
-
+    // A cold fit is the cached search on a fresh cache: the CI job fails
+    // unless the two variant sets are equal.
     SeparationRow {
         name: w.name,
         n_src: bundle.source_train.len(),
@@ -115,7 +97,7 @@ fn measure_separation(w: &Workload, reps: usize) -> SeparationRow {
         cold_ms,
         warm_ms,
         ratio: warm_ms / cold_ms.max(1e-12),
-        agree: sym_diff <= 2,
+        agree: warm.variant() == cold.variant(),
     }
 }
 

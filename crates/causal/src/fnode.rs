@@ -16,14 +16,15 @@
 //! the intervention targets themselves (Eq. 2 of the paper:
 //! `X ⟂ F | Pa(X)`).
 
-use crate::ci::{combine_with_fnode, CondIndepTest, FisherZ};
+use crate::ci::{CondIndepTest, FisherZ};
 use crate::graph::for_each_subset;
-use crate::Result;
+use crate::warm::CiCache;
+use crate::{CausalError, Result};
 use fsda_linalg::par::{par_map, resolve_threads};
 use fsda_linalg::Matrix;
 
 /// Configuration of the F-node search.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FnodeConfig {
     /// Significance level of the CI tests (features whose test rejects at
     /// this level remain F-neighbours, i.e. are declared variant).
@@ -95,12 +96,17 @@ impl FnodeResult {
 /// Identifies the features intervened on by the domain shift.
 ///
 /// `source` and `target` are feature matrices (rows are samples) over the
-/// same feature set. Returns the variant/invariant partition.
+/// same feature set. Returns the variant/invariant partition. This is
+/// [`CiCache::search`] on a freshly built cache, so it returns exactly what
+/// a search through a cache built earlier returns.
 ///
 /// # Errors
 ///
 /// Fails when the domains have mismatched widths, when either domain is
-/// empty, or when a CI test degenerates numerically.
+/// empty or both together hold fewer than four rows, when a cell is
+/// NaN/Inf ([`CausalError::NonFinite`] numbers rows as in the stacked
+/// dataset: source rows first, then target rows), or when a CI test
+/// degenerates numerically.
 ///
 /// # Example
 ///
@@ -110,50 +116,29 @@ pub fn find_intervened_features(
     target: &Matrix,
     config: &FnodeConfig,
 ) -> Result<FnodeResult> {
-    let combined = combine_with_fnode(source, target)?;
-    let test = FisherZ::new(&combined)?;
-    find_intervened_features_with(&test, source.cols(), config)
+    let cache = CiCache::new(source)?;
+    let window = cache.window(target).map_err(|e| match e {
+        CausalError::NonFinite { row, col } => CausalError::NonFinite {
+            row: source.rows() + row,
+            col,
+        },
+        e => e,
+    })?;
+    cache.search(&window, config)
 }
 
-/// Same as [`find_intervened_features`] but with a caller-supplied CI test
-/// over the combined dataset, whose last variable must be the F-node.
-///
-/// # Errors
-///
-/// Propagates CI-test failures.
-///
-/// # Panics
-///
-/// Panics if `test.num_vars() != num_features + 1`.
-pub fn find_intervened_features_with(
-    test: &FisherZ,
-    num_features: usize,
-    config: &FnodeConfig,
-) -> Result<FnodeResult> {
-    staged_search(test, num_features, config, None)
-}
-
-/// The staged search shared by the cold and warm entry points.
-///
-/// `prefer` optionally marks features whose membership in the *previous*
-/// skeleton should rank them first among conditioning candidates (causal
-/// mechanism transfer: mechanisms persist across domains, so yesterday's
-/// variant set is the best guess at today's mediators). `None` reproduces
-/// the cold search bit-for-bit.
+/// The staged search over a CI test on `num_features` features plus a
+/// trailing F-node.
 pub(crate) fn staged_search(
     test: &FisherZ,
     num_features: usize,
     config: &FnodeConfig,
-    prefer: Option<&[bool]>,
 ) -> Result<FnodeResult> {
     assert_eq!(
         test.num_vars(),
         num_features + 1,
         "CI test must cover the features plus the trailing F-node"
     );
-    if let Some(p) = prefer {
-        assert_eq!(p.len(), num_features, "prefer mask must cover all features");
-    }
     let f = num_features;
     let mut tests_run = 0usize;
     let threads = config.effective_threads();
@@ -191,7 +176,7 @@ pub(crate) fn staged_search(
             break;
         }
         let outcomes = par_map(threads, &snapshot, |_, &x| {
-            evaluate_feature(test, &snapshot, x, f, cond_size, config, prefer)
+            evaluate_feature(test, &snapshot, x, f, cond_size, config)
         });
         // Sequential fold in snapshot (ascending feature) order: the test
         // counter, error propagation, and adjacency updates all happen here.
@@ -238,14 +223,10 @@ fn evaluate_feature(
     f: usize,
     cond_size: usize,
     config: &FnodeConfig,
-    prefer: Option<&[bool]>,
-) -> (usize, bool, Option<crate::CausalError>) {
+) -> (usize, bool, Option<CausalError>) {
     // Conditioning candidates: other F-neighbours, ranked by
     // |corr(candidate, x)| so the most plausible mediators are tried first,
-    // truncated for tractability. A warm start additionally ranks members
-    // of the previous skeleton ahead of newcomers (stable sort: ties keep
-    // the correlation order), so separating sets are found in fewer subsets
-    // when the drift mechanism persists.
+    // truncated for tractability.
     let mut scored: Vec<(usize, f64)> = snapshot
         .iter()
         .copied()
@@ -256,9 +237,6 @@ fn evaluate_feature(
         })
         .collect();
     scored.sort_by(|a, b| b.1.total_cmp(&a.1));
-    if let Some(p) = prefer {
-        scored.sort_by_key(|&(c, _)| !p[c]);
-    }
     let candidates: Vec<usize> = scored
         .into_iter()
         .take(config.max_candidates)
@@ -267,7 +245,7 @@ fn evaluate_feature(
     if candidates.len() < cond_size {
         return (0, false, None);
     }
-    let mut err: Option<crate::CausalError> = None;
+    let mut err: Option<CausalError> = None;
     let mut local_tests = 0usize;
     let separated = for_each_subset(&candidates, cond_size, |cond| {
         local_tests += 1;
@@ -428,5 +406,16 @@ mod tests {
         let src = Matrix::zeros(10, 3);
         let tgt = Matrix::zeros(10, 4);
         assert!(find_intervened_features(&src, &tgt, &FnodeConfig::default()).is_err());
+    }
+
+    #[test]
+    fn corrupt_cells_are_numbered_as_in_the_stacked_dataset() {
+        let (mut src, mut tgt) = two_domain_data(40, 10, 5);
+        tgt.set(2, 4, f64::NAN);
+        let err = find_intervened_features(&src, &tgt, &FnodeConfig::default()).unwrap_err();
+        assert_eq!(err, CausalError::NonFinite { row: 42, col: 4 });
+        src.set(7, 1, f64::INFINITY);
+        let err = find_intervened_features(&src, &tgt, &FnodeConfig::default()).unwrap_err();
+        assert_eq!(err, CausalError::NonFinite { row: 7, col: 1 });
     }
 }

@@ -21,10 +21,10 @@
 //!   FS tractable on 442-feature data.
 //! * [`score`] — precision/recall/F1 of a detected intervention-target set
 //!   against a known ground truth (SCM-generated data records one).
-//! * [`warm`] — cached CI-test sufficient statistics for warm-started
-//!   re-detection: the source-side moments are folded once, each new target
-//!   window merges in `O(n_tgt · d²)`, and the staged search is seeded with
-//!   the previous skeleton.
+//! * [`warm`] — the F-node search's source co-moments, folded once: each
+//!   new target window merges in `O(n_tgt · d²)`. The cold
+//!   [`fnode::find_intervened_features`] is the same search on a freshly
+//!   built cache.
 //!
 //! # Example
 //!

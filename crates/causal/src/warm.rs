@@ -1,231 +1,146 @@
-//! Warm-started re-detection: cached CI-test sufficient statistics.
+//! Cached F-node separation: the source half of the search is folded once.
 //!
-//! A closed drift loop re-runs the F-node search every time the monitor
-//! fires, but the *source* half of the combined dataset never changes —
-//! only a small target window does. [`CiCache`] therefore precomputes the
-//! source-side sufficient statistics (per-feature sums and the Gram matrix
-//! of cross-products) **once**; each re-detection merges the cheap
-//! `O(n_tgt · d²)` target contribution, assembles the combined correlation
-//! matrix, and builds a [`FisherZ`] oracle without ever touching the source
-//! rows again. For the usual regime (thousands of source rows, a few dozen
-//! target shots) this removes the dominant `O(n_src · d²)` cost of a cold
-//! [`FisherZ::new`] over the stacked dataset.
+//! The F-node search runs one Fisher-z search over `source ∪ target` with a
+//! trailing domain indicator. A closed drift loop re-runs it every time the
+//! monitor fires, but the *source* rows never change — only a small target
+//! window does. [`CiCache`] therefore folds the source into centered
+//! [`CoMoments`] **once**; each search folds the window the same way, merges
+//! the two (the Chan–Golub–LeVeque pairwise update) and reads the combined
+//! correlation matrix off the result. A search costs `O(n_tgt · d²)`
+//! instead of `O((n_src + n_tgt) · d²)`, and the source rows are never
+//! touched again.
 //!
-//! [`find_intervened_features_warm`] additionally seeds the staged search
-//! with the *previous* skeleton: features that were variant last time are
-//! ranked first among conditioning candidates. Causal mechanism transfer
-//! (Teshima et al., arXiv 2002.03497) is the justification — mechanisms
-//! persist across domains, only the intervened nodes move — so yesterday's
-//! skeleton is the best prior for today's mediators and separating sets are
-//! found after enumerating fewer subsets.
+//! The F-node needs no column of its own: source rows carry `F = 0` and
+//! window rows `F = 1`, each constant within its sample, so the merge's
+//! mean-difference term yields every F moment.
 //!
-//! The warm path is deterministic (same cache + same window ⇒ same result)
-//! but **not** bit-identical to the cold path: merging moments sums in a
-//! different order than the two-pass
-//! [`correlation_matrix`](fsda_linalg::stats::correlation_matrix), so
-//! correlations may differ
-//! in the last ulps. Callers that need the cold contract (or whose
-//! feature count changed) must fall back to
-//! [`find_intervened_features`](crate::fnode::find_intervened_features) —
-//! `fsda_core` does exactly that when the cache dimension mismatches.
+//! [`find_intervened_features`](crate::fnode::find_intervened_features) is
+//! this search on a freshly built cache, so a search through a cache built
+//! earlier returns exactly the partition a cold search returns. Which
+//! features were variant last time plays no part: the per-window F-node
+//! test already checks whether the drift mechanisms persisted.
 
 use crate::ci::FisherZ;
 use crate::fnode::{staged_search, FnodeConfig, FnodeResult};
 use crate::{CausalError, Result};
+use fsda_linalg::stats::CoMoments;
 use fsda_linalg::Matrix;
 
-/// Source-side sufficient statistics for the combined F-node dataset.
+/// Source-side co-moments for the combined F-node dataset.
 ///
-/// Built once from the (normalized) source feature matrix; every
-/// re-detection against a new target window costs only the target-side
-/// moments. The F-node column is implicit: source rows contribute `F = 0`,
-/// so its sums and cross-products with the features come entirely from the
-/// target window.
+/// Built once from the (normalized) source feature matrix; every search
+/// against a new target window costs only the window's co-moments and one
+/// merge.
 #[derive(Debug, Clone)]
 pub struct CiCache {
-    d: usize,
-    n_src: usize,
-    /// Per-feature sums over the source rows (length `d`).
-    src_sums: Vec<f64>,
-    /// Upper triangle of the source Gram matrix `Σ x_i x_j` (d × d).
-    src_gram: Matrix,
+    source: CoMoments,
+}
+
+/// The first NaN/Inf cell of `m`, as a [`CausalError::NonFinite`].
+fn check_finite(m: &Matrix) -> Result<()> {
+    for (r, row) in m.iter_rows().enumerate() {
+        if let Some(c) = row.iter().position(|v| !v.is_finite()) {
+            return Err(CausalError::NonFinite { row: r, col: c });
+        }
+    }
+    Ok(())
 }
 
 impl CiCache {
-    /// Accumulates the source-side statistics. `source` rows are samples.
+    /// Folds the source rows into co-moments. `source` rows are samples.
     ///
     /// # Errors
     ///
-    /// Returns [`CausalError::InsufficientData`] when `source` has fewer
-    /// than three rows (the combined Fisher-z dataset needs at least four
-    /// samples and a window contributes at least one) and
+    /// Returns [`CausalError::InsufficientData`] on an empty source and
     /// [`CausalError::NonFinite`] — localized to the first offending cell —
     /// on NaN/Inf values, which would silently poison every later merge.
     pub fn new(source: &Matrix) -> Result<Self> {
-        if source.rows() < 3 {
-            return Err(CausalError::InsufficientData(format!(
-                "CiCache needs >= 3 source rows, got {}",
-                source.rows()
-            )));
+        if source.rows() == 0 {
+            return Err(CausalError::InsufficientData(
+                "the F-node search needs a non-empty source domain".into(),
+            ));
         }
-        for (r, row) in source.iter_rows().enumerate() {
-            if let Some(c) = row.iter().position(|v| !v.is_finite()) {
-                return Err(CausalError::NonFinite { row: r, col: c });
-            }
-        }
-        let d = source.cols();
-        let mut src_sums = vec![0.0f64; d];
-        let mut src_gram = Matrix::zeros(d, d);
-        for row in source.iter_rows() {
-            for i in 0..d {
-                src_sums[i] += row[i];
-                for j in i..d {
-                    let v = src_gram.get(i, j) + row[i] * row[j];
-                    src_gram.set(i, j, v);
-                }
-            }
-        }
+        check_finite(source)?;
         Ok(CiCache {
-            d,
-            n_src: source.rows(),
-            src_sums,
-            src_gram,
+            source: CoMoments::from_rows(source),
         })
     }
 
     /// Number of features the cache was built over.
     pub fn num_features(&self) -> usize {
-        self.d
+        self.source.num_cols()
     }
 
     /// Number of source rows folded into the cache.
     pub fn source_rows(&self) -> usize {
-        self.n_src
+        self.source.rows()
     }
 
-    /// Builds the Fisher-z oracle over `source ∪ target` + trailing F-node
-    /// by merging the target window's moments into the cached source
-    /// statistics. Cost is `O(n_tgt · d²)` — independent of `n_src`.
+    /// The source domain's co-moments.
+    pub fn source(&self) -> &CoMoments {
+        &self.source
+    }
+
+    /// Checks a target window against the cache and folds it into
+    /// co-moments, the input of [`CiCache::search`].
     ///
     /// # Errors
     ///
     /// Returns [`CausalError::FeatureMismatch`] when the window width
-    /// differs from the cached feature count, [`CausalError::NonFinite`]
-    /// (row/col localized to the *window*) on corrupt cells, and
-    /// [`CausalError::InsufficientData`] on an empty window.
-    pub fn fisher_z(&self, target: &Matrix) -> Result<FisherZ> {
-        if target.cols() != self.d {
+    /// differs from the cached feature count,
+    /// [`CausalError::InsufficientData`] on an empty window or when source
+    /// and window together hold fewer than four rows (the Fisher-z
+    /// statistic needs `n - |cond| - 3 > 0`), and
+    /// [`CausalError::NonFinite`] (row/col localized to the *window*) on
+    /// corrupt cells.
+    pub fn window(&self, target: &Matrix) -> Result<CoMoments> {
+        if target.cols() != self.num_features() {
             return Err(CausalError::FeatureMismatch {
-                source: self.d,
+                source: self.num_features(),
                 target: target.cols(),
             });
         }
         if target.rows() == 0 {
             return Err(CausalError::InsufficientData(
-                "warm re-detection needs a non-empty target window".into(),
+                "the F-node search needs a non-empty target window".into(),
             ));
         }
-        for (r, row) in target.iter_rows().enumerate() {
-            if let Some(c) = row.iter().position(|v| !v.is_finite()) {
-                return Err(CausalError::NonFinite { row: r, col: c });
-            }
+        let n = self.source_rows() + target.rows();
+        if n < 4 {
+            return Err(CausalError::InsufficientData(format!(
+                "Fisher-z needs >= 4 samples, got {n}"
+            )));
         }
-        let d = self.d;
-        let n_tgt = target.rows();
-        let n = self.n_src + n_tgt;
-
-        // Merge moments over the d features + the trailing F-node. Source
-        // rows have F = 0, so every F-term is a pure target-side quantity:
-        // Σ F = n_tgt, Σ F² = n_tgt, Σ F·x_i = Σ_target x_i.
-        let mut sums = vec![0.0f64; d + 1];
-        sums[..d].copy_from_slice(&self.src_sums);
-        let mut gram = Matrix::zeros(d + 1, d + 1);
-        for i in 0..d {
-            for j in i..d {
-                gram.set(i, j, self.src_gram.get(i, j));
-            }
-        }
-        let mut tgt_sums = vec![0.0f64; d];
-        for row in target.iter_rows() {
-            for i in 0..d {
-                tgt_sums[i] += row[i];
-                for j in i..d {
-                    let v = gram.get(i, j) + row[i] * row[j];
-                    gram.set(i, j, v);
-                }
-            }
-        }
-        for i in 0..d {
-            sums[i] += tgt_sums[i];
-            gram.set(i, d, tgt_sums[i]);
-        }
-        sums[d] = n_tgt as f64;
-        gram.set(d, d, n_tgt as f64);
-
-        // Moments → correlation, with the same degeneracy contract as
-        // `fsda_linalg::stats::correlation_matrix`: identity diagonal,
-        // r = 0 against (numerically) constant columns, clamped to [-1, 1].
-        let nf = n as f64;
-        let denom = (n - 1) as f64;
-        let cov = |gram: &Matrix, sums: &[f64], i: usize, j: usize| -> f64 {
-            let (a, b) = if i <= j { (i, j) } else { (j, i) };
-            (gram.get(a, b) - sums[i] * sums[j] / nf) / denom
-        };
-        let mut corr = Matrix::identity(d + 1);
-        // Moment subtraction can leave a tiny negative variance for
-        // constant columns; clamp before the sqrt.
-        let stds: Vec<f64> = (0..=d)
-            .map(|i| cov(&gram, &sums, i, i).max(0.0).sqrt())
-            .collect();
-        for i in 0..=d {
-            for j in (i + 1)..=d {
-                let r = if stds[i] < 1e-12 || stds[j] < 1e-12 {
-                    0.0
-                } else {
-                    (cov(&gram, &sums, i, j) / (stds[i] * stds[j])).clamp(-1.0, 1.0)
-                };
-                corr.set(i, j, r);
-                corr.set(j, i, r);
-            }
-        }
-        Ok(FisherZ::from_correlation(corr, n))
+        check_finite(target)?;
+        Ok(CoMoments::from_rows(target))
     }
-}
 
-/// Warm-started F-node search: cached source statistics + previous-skeleton
-/// conditioning priority.
-///
-/// `prev_variant` is the variant set of the previous separation; its
-/// members are ranked first among conditioning candidates (see the module
-/// docs for why). Indices outside `0..cache.num_features()` are an error —
-/// the caller's skeleton belongs to a different feature space and must cold
-/// start instead.
-///
-/// # Errors
-///
-/// Propagates [`CiCache::fisher_z`] failures and rejects out-of-range
-/// `prev_variant` indices with [`CausalError::FeatureMismatch`].
-pub fn find_intervened_features_warm(
-    cache: &CiCache,
-    target: &Matrix,
-    prev_variant: &[usize],
-    config: &FnodeConfig,
-) -> Result<FnodeResult> {
-    let d = cache.num_features();
-    if let Some(&bad) = prev_variant.iter().find(|&&x| x >= d) {
-        return Err(CausalError::FeatureMismatch {
-            source: d,
-            target: bad + 1,
-        });
+    /// The Fisher-z oracle over `source ∪ window` with the F-node as the
+    /// last variable. Fails only on a window [`CiCache::window`] refuses.
+    fn fisher_z(&self, window: &CoMoments) -> Result<FisherZ> {
+        let merged = self
+            .source
+            .with_constant(0.0)
+            .merge(&window.with_constant(1.0));
+        Ok(FisherZ::from_correlation(
+            merged.correlation()?,
+            merged.rows(),
+        ))
     }
-    let test = cache.fisher_z(target)?;
-    let mut prefer = vec![false; d];
-    for &x in prev_variant {
-        prefer[x] = true;
+
+    /// The F-node search over `source ∪ window`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates CI-test failures, and the correlation build's failure on
+    /// a window that [`CiCache::window`] would have refused.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is not over the cached feature count.
+    pub fn search(&self, window: &CoMoments, config: &FnodeConfig) -> Result<FnodeResult> {
+        staged_search(&self.fisher_z(window)?, self.num_features(), config)
     }
-    let result = staged_search(&test, d, config, Some(&prefer))?;
-    fsda_telemetry::counter("causal.fnode.warm_searches", 1);
-    Ok(result)
 }
 
 #[cfg(test)]
@@ -268,52 +183,63 @@ mod tests {
         (src, tgt)
     }
 
-    #[test]
-    fn cached_correlation_matches_recomputed() {
-        let (src, tgt) = two_domain_data(600, 120, 11);
-        let cache = CiCache::new(&src).unwrap();
-        let warm = cache.fisher_z(&tgt).unwrap();
-        let combined = combine_with_fnode(&src, &tgt).unwrap();
-        let cold = correlation_matrix(&combined).unwrap();
-        for i in 0..6 {
-            for j in (i + 1)..6 {
-                let a = warm.partial_corr(i, j, &[]).unwrap();
-                let b = cold.get(i, j);
-                assert!((a - b).abs() < 1e-9, "corr[{i}][{j}]: warm {a} vs cold {b}");
+    /// Largest entrywise gap between the cached correlation matrix and the
+    /// two-pass correlation of the stacked `source ∪ target` + F-node data.
+    fn max_gap_to_stacked(src: &Matrix, tgt: &Matrix) -> f64 {
+        let cache = CiCache::new(src).unwrap();
+        let cached = cache.fisher_z(&cache.window(tgt).unwrap()).unwrap();
+        let stacked = correlation_matrix(&combine_with_fnode(src, tgt).unwrap()).unwrap();
+        let d = src.cols() + 1;
+        assert_eq!(cached.num_vars(), d);
+        assert_eq!(cached.num_samples(), src.rows() + tgt.rows());
+        let mut gap = 0.0f64;
+        for i in 0..d {
+            for j in (i + 1)..d {
+                let a = cached.partial_corr(i, j, &[]).unwrap();
+                gap = gap.max((a - stacked.get(i, j)).abs());
             }
         }
-        assert_eq!(warm.num_samples(), 720);
-        assert_eq!(warm.num_vars(), 6);
+        gap
     }
 
     #[test]
-    fn warm_search_matches_cold_partition() {
+    fn cached_correlation_matches_recomputed() {
+        // Data near zero: the merged co-moments agree with the stacked
+        // two-pass build to a few ulps of a unit correlation.
+        let (src, tgt) = two_domain_data(600, 120, 11);
+        let gap = max_gap_to_stacked(&src, &tgt);
+        assert!(gap <= 1e-14, "near-zero data: gap {gap:e}");
+
+        // Columns offset far from zero: only centered quantities are ever
+        // summed, so the offset costs little precision (gaps of 5e-13,
+        // 4e-12 and 7e-11 here). Raw Σxᵢxⱼ − n·μᵢμⱼ moments were off by
+        // 6e-10, 1.2e-7 and 1.8e-3 on the same data.
+        for offset in [1e3, 1e4, 1e6] {
+            let shift =
+                |m: &Matrix| Matrix::from_fn(m.rows(), m.cols(), |r, c| m.get(r, c) + offset);
+            let gap = max_gap_to_stacked(&shift(&src), &shift(&tgt));
+            assert!(gap <= 1e-9, "offset {offset:e}: gap {gap:e}");
+        }
+    }
+
+    #[test]
+    fn cached_search_is_the_cold_search() {
         let (src, tgt) = two_domain_data(2000, 300, 3);
         let cfg = FnodeConfig {
             max_candidates: 10,
             ..FnodeConfig::default()
         };
         let cold = find_intervened_features(&src, &tgt, &cfg).unwrap();
+        // A cache built once and searched twice: same partition, test count
+        // and effect sizes as the cold search, bit for bit.
         let cache = CiCache::new(&src).unwrap();
-        // Warm-start from the cold skeleton (the steady-state case).
-        let warm = find_intervened_features_warm(&cache, &tgt, &cold.variant, &cfg).unwrap();
-        assert_eq!(warm.variant, cold.variant, "partitions must agree");
-        assert_eq!(warm.invariant, cold.invariant);
-        // And from a stale/empty skeleton (first re-detection).
-        let warm0 = find_intervened_features_warm(&cache, &tgt, &[], &cfg).unwrap();
-        assert_eq!(warm0.variant, cold.variant);
-    }
-
-    #[test]
-    fn warm_search_is_deterministic() {
-        let (src, tgt) = two_domain_data(800, 150, 7);
-        let cache = CiCache::new(&src).unwrap();
-        let cfg = FnodeConfig::default();
-        let a = find_intervened_features_warm(&cache, &tgt, &[1, 3], &cfg).unwrap();
-        let b = find_intervened_features_warm(&cache, &tgt, &[1, 3], &cfg).unwrap();
-        assert_eq!(a.variant, b.variant);
-        assert_eq!(a.tests_run, b.tests_run);
-        assert_eq!(a.f_correlation, b.f_correlation);
+        for _ in 0..2 {
+            let cached = cache.search(&cache.window(&tgt).unwrap(), &cfg).unwrap();
+            assert_eq!(cached.variant, cold.variant);
+            assert_eq!(cached.invariant, cold.invariant);
+            assert_eq!(cached.tests_run, cold.tests_run);
+            assert_eq!(cached.f_correlation, cold.f_correlation);
+        }
     }
 
     #[test]
@@ -322,7 +248,7 @@ mod tests {
         let cache = CiCache::new(&src).unwrap();
         let narrow = Matrix::zeros(10, 3);
         assert!(matches!(
-            cache.fisher_z(&narrow),
+            cache.window(&narrow),
             Err(CausalError::FeatureMismatch {
                 source: 5,
                 target: 3
@@ -347,25 +273,21 @@ mod tests {
     }
 
     fn cache_err(src: &Matrix, tgt: &Matrix) -> CausalError {
-        CiCache::new(src).unwrap().fisher_z(tgt).unwrap_err()
+        CiCache::new(src).unwrap().window(tgt).unwrap_err()
     }
 
     #[test]
-    fn rejects_empty_window_and_stale_skeleton() {
-        let (src, tgt) = two_domain_data(100, 10, 5);
+    fn rejects_empty_window() {
+        let (src, _) = two_domain_data(100, 10, 5);
         let cache = CiCache::new(&src).unwrap();
         assert!(matches!(
-            cache.fisher_z(&Matrix::zeros(0, 5)),
+            cache.window(&Matrix::zeros(0, 5)),
             Err(CausalError::InsufficientData(_))
-        ));
-        assert!(matches!(
-            find_intervened_features_warm(&cache, &tgt, &[9], &FnodeConfig::default()),
-            Err(CausalError::FeatureMismatch { .. })
         ));
     }
 
     #[test]
-    fn rejects_corrupt_or_tiny_source() {
+    fn rejects_corrupt_or_empty_source_and_tiny_unions() {
         let mut src = Matrix::zeros(10, 3);
         src.set(4, 2, f64::NAN);
         assert_eq!(
@@ -373,9 +295,22 @@ mod tests {
             CausalError::NonFinite { row: 4, col: 2 }
         );
         assert!(matches!(
-            CiCache::new(&Matrix::zeros(2, 3)),
+            CiCache::new(&Matrix::zeros(0, 3)),
             Err(CausalError::InsufficientData(_))
         ));
+        // A one- or two-row source is fine as long as the union holds the
+        // four rows the Fisher-z statistic needs.
+        let mut rng = SeededRng::new(6);
+        let tiny = Matrix::from_fn(2, 3, |_, _| rng.normal(0.0, 1.0));
+        let cache = CiCache::new(&tiny).unwrap();
+        let one = Matrix::from_fn(1, 3, |_, _| rng.normal(0.0, 1.0));
+        assert!(matches!(
+            cache.window(&one),
+            Err(CausalError::InsufficientData(_))
+        ));
+        let two = Matrix::from_fn(2, 3, |_, _| rng.normal(0.0, 1.0));
+        let window = cache.window(&two).unwrap();
+        assert!(cache.search(&window, &FnodeConfig::default()).is_ok());
     }
 
     #[test]
@@ -392,10 +327,10 @@ mod tests {
             |_, c| if c == 1 { 7.5 } else { rng.normal(0.0, 1.0) },
         );
         let cache = CiCache::new(&src).unwrap();
-        let test = cache.fisher_z(&tgt).unwrap();
+        let window = cache.window(&tgt).unwrap();
+        let test = cache.fisher_z(&window).unwrap();
         // Dead counter correlates 0 with everything, including the F-node.
         assert_eq!(test.partial_corr(1, 3, &[]).unwrap(), 0.0);
-        let res = find_intervened_features_warm(&cache, &tgt, &[], &FnodeConfig::default());
-        assert!(res.is_ok());
+        assert!(cache.search(&window, &FnodeConfig::default()).is_ok());
     }
 }

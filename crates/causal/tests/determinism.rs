@@ -7,7 +7,7 @@
 //! on seeded SCM data, for both the full PC algorithm and the targeted
 //! F-node search.
 
-use fsda_causal::ci::{combine_with_fnode, FisherZ};
+use fsda_causal::ci::FisherZ;
 use fsda_causal::fnode::{find_intervened_features, FnodeConfig};
 use fsda_causal::pc::{pc, PcConfig};
 use fsda_linalg::{Matrix, SeededRng};
@@ -134,35 +134,4 @@ fn fnode_search_parallel_is_bit_identical_to_sequential() {
             "effect sizes must be bit-identical"
         );
     }
-}
-
-#[test]
-fn fnode_combined_oracle_equivalence() {
-    // Same check through the explicit-oracle entry point.
-    let mut rng = SeededRng::new(33);
-    let src = Matrix::from_fn(300, 8, |_, _| rng.normal(0.0, 1.0));
-    let tgt = Matrix::from_fn(40, 8, |_, c| {
-        if c % 3 == 0 {
-            rng.normal(2.0, 1.0)
-        } else {
-            rng.normal(0.0, 1.0)
-        }
-    });
-    let combined = combine_with_fnode(&src, &tgt).unwrap();
-    let oracle = FisherZ::new(&combined).unwrap();
-    let seq =
-        fsda_causal::fnode::find_intervened_features_with(&oracle, 8, &FnodeConfig::default())
-            .unwrap();
-    let par = fsda_causal::fnode::find_intervened_features_with(
-        &oracle,
-        8,
-        &FnodeConfig {
-            parallel: true,
-            num_threads: Some(4),
-            ..FnodeConfig::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(seq.variant, par.variant);
-    assert_eq!(seq.tests_run, par.tests_run);
 }

@@ -1,54 +1,14 @@
 //! The FS (feature separation) method: Section V-A of the paper.
 
 use crate::{CoreError, Result};
-use fsda_causal::fnode::{find_intervened_features, FnodeConfig};
-use fsda_causal::warm::{find_intervened_features_warm, CiCache};
+use fsda_causal::warm::CiCache;
 use fsda_data::normalize::{NormKind, Normalizer};
 use fsda_data::Dataset;
+use fsda_linalg::stats::CoMoments;
 use fsda_linalg::Matrix;
 
-/// Configuration of the FS method.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FsConfig {
-    /// Significance level of the conditional-independence tests.
-    pub alpha: f64,
-    /// Maximum conditioning-set size in the F-node search.
-    pub max_cond_size: usize,
-    /// Cap on conditioning candidates per feature.
-    pub max_candidates: usize,
-    /// Run the F-node search's CI tests on a worker pool. The separation is
-    /// bit-identical to the sequential path (see
-    /// [`fsda_causal::fnode::FnodeConfig::parallel`]); only wall-clock
-    /// changes.
-    pub parallel: bool,
-    /// Worker threads when `parallel` is set; `None` uses every available
-    /// core.
-    pub num_threads: Option<usize>,
-}
-
-impl Default for FsConfig {
-    fn default() -> Self {
-        FsConfig {
-            alpha: 0.01,
-            max_cond_size: 1,
-            max_candidates: 6,
-            parallel: false,
-            num_threads: None,
-        }
-    }
-}
-
-impl From<&FsConfig> for FnodeConfig {
-    fn from(c: &FsConfig) -> Self {
-        FnodeConfig {
-            alpha: c.alpha,
-            max_cond_size: c.max_cond_size,
-            max_candidates: c.max_candidates,
-            parallel: c.parallel,
-            num_threads: c.num_threads,
-        }
-    }
-}
+/// Configuration of the FS method: the F-node search's configuration.
+pub use fsda_causal::fnode::FnodeConfig as FsConfig;
 
 /// Welch-z threshold of the marginal drift screen that runs after the
 /// F-node search (see [`marginal_screen`]). At five shots per class the
@@ -68,27 +28,21 @@ const MARGINAL_SCREEN_Z: f64 = 5.0;
 /// Those features are exactly what the reconstructor exists to rebuild,
 /// so any invariant column whose normalized Welch z against the target
 /// shots exceeds [`MARGINAL_SCREEN_Z`] is moved to the variant side.
-/// Each escalation bumps the `causal.fnode.marginal_escalated` counter.
+/// Means and variances come from the normalized source's and shots'
+/// co-moments. Each escalation bumps the `causal.fnode.marginal_escalated`
+/// counter.
 fn marginal_screen(
-    src_n: &Matrix,
-    tgt_n: &Matrix,
+    src: &CoMoments,
+    tgt: &CoMoments,
     variant: &mut Vec<usize>,
     invariant: &mut Vec<usize>,
 ) {
-    let moments = |m: &Matrix, c: usize| -> (f64, f64) {
-        let n = m.rows() as f64;
-        let mean = (0..m.rows()).map(|r| m.get(r, c)).sum::<f64>() / n;
-        let var = (0..m.rows())
-            .map(|r| (m.get(r, c) - mean).powi(2))
-            .sum::<f64>()
-            / n;
-        (mean, var)
-    };
-    let (n_s, n_t) = (src_n.rows() as f64, tgt_n.rows() as f64);
+    let moments = |m: &CoMoments, c: usize| (m.means()[c], m.sum_sq(c) / m.rows() as f64);
+    let (n_s, n_t) = (src.rows() as f64, tgt.rows() as f64);
     let mut escalated = 0u64;
     invariant.retain(|&c| {
-        let (m_s, v_s) = moments(src_n, c);
-        let (m_t, v_t) = moments(tgt_n, c);
+        let (m_s, v_s) = moments(src, c);
+        let (m_t, v_t) = moments(tgt, c);
         let z = (m_s - m_t).abs() / (v_s / n_s + v_t / n_t).sqrt().max(1e-12);
         if z > MARGINAL_SCREEN_Z {
             variant.push(c);
@@ -152,10 +106,14 @@ impl FeatureSeparation {
     /// a marginal drift screen so propagated drift cannot hide in the
     /// invariant block the classifier is served.
     ///
+    /// This is [`FeatureSeparation::fit_warm`] on a freshly built
+    /// [`SeparationCache`], so both return the same separation.
+    ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidInput`] when the domains have different
-    /// feature counts, and propagates causal-discovery failures.
+    /// feature counts, and propagates causal-discovery failures (corrupt
+    /// cells, empty domains).
     pub fn fit(source: &Dataset, target_shots: &Dataset, config: &FsConfig) -> Result<Self> {
         if source.num_features() != target_shots.num_features() {
             return Err(CoreError::InvalidInput(format!(
@@ -164,19 +122,7 @@ impl FeatureSeparation {
                 target_shots.num_features()
             )));
         }
-        let normalizer = Normalizer::fit(source.features(), NormKind::MinMaxSymmetric);
-        let src_n = normalizer.transform(source.features());
-        let tgt_n = normalizer.transform(target_shots.features());
-        let mut result = find_intervened_features(&src_n, &tgt_n, &config.into())?;
-        marginal_screen(&src_n, &tgt_n, &mut result.variant, &mut result.invariant);
-        Ok(FeatureSeparation {
-            variant: result.variant,
-            invariant: result.invariant,
-            normalizer,
-            tests_run: result.tests_run,
-            num_features: source.num_features(),
-            config: config.clone(),
-        })
+        Self::separate(&SeparationCache::new(source, config)?, target_shots)
     }
 
     /// Rebuilds a separation from previously extracted parts (e.g. decoded
@@ -325,12 +271,13 @@ impl FeatureSeparation {
     }
 }
 
-/// Which search path a warm-capable separation actually took.
+/// Which search path a re-fit's separation took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchPath {
-    /// Cached sufficient statistics + previous-skeleton priority.
+    /// Searched through a [`SeparationCache`] built earlier
+    /// ([`FeatureSeparation::fit_warm`]).
     Warm,
-    /// Full recomputation over the stacked source+target data.
+    /// No separation: the method re-fits without one (non-FS methods).
     Cold,
 }
 
@@ -344,34 +291,30 @@ impl std::fmt::Display for SearchPath {
 }
 
 /// Reusable source-side state for repeated separations against a fixed
-/// source domain: the fitted normalizer, the normalized source matrix (the
-/// cold-fallback input), and the cached CI-test sufficient statistics
-/// ([`fsda_causal::warm::CiCache`]). Build once per tenant, re-separate per
-/// drift event — [`FeatureSeparation::fit_warm`] then costs
+/// source domain: the fitted normalizer and the normalized source's
+/// co-moments ([`fsda_causal::warm::CiCache`]). Build once per tenant,
+/// re-separate per drift event — [`FeatureSeparation::fit_warm`] then costs
 /// `O(n_window · d²)` instead of `O(n_src · d²)`.
 #[derive(Debug, Clone)]
 pub struct SeparationCache {
     normalizer: Normalizer,
-    src_n: Matrix,
     ci: CiCache,
     config: FsConfig,
 }
 
 impl SeparationCache {
-    /// Fits the normalizer on the source domain and folds the source rows
-    /// into the CI cache.
+    /// Fits the normalizer on the source domain and folds the normalized
+    /// source rows into the CI cache.
     ///
     /// # Errors
     ///
-    /// Propagates [`fsda_causal::warm::CiCache::new`] failures (tiny or
+    /// Propagates [`fsda_causal::warm::CiCache::new`] failures (empty or
     /// corrupt source data).
     pub fn new(source: &Dataset, config: &FsConfig) -> Result<Self> {
         let normalizer = Normalizer::fit(source.features(), NormKind::MinMaxSymmetric);
-        let src_n = normalizer.transform(source.features());
-        let ci = CiCache::new(&src_n)?;
+        let ci = CiCache::new(&normalizer.transform(source.features()))?;
         Ok(SeparationCache {
             normalizer,
-            src_n,
             ci,
             config: config.clone(),
         })
@@ -394,37 +337,37 @@ impl SeparationCache {
 }
 
 impl FeatureSeparation {
-    /// Re-runs feature separation against a fresh target window using the
-    /// cached source-side state, warm-starting the F-node search from the
-    /// previous variant set when one is given. Falls back to the cold
-    /// search — same `O(n_src · d²)` contract as
-    /// [`FeatureSeparation::fit`] — when the previous skeleton does not
-    /// match the cached feature space (e.g. a stale controller handed over
-    /// indices from a different deployment).
+    /// Re-runs feature separation against a fresh target window through
+    /// the cached source-side state: only the window is normalized and
+    /// folded in. The result is exactly what [`FeatureSeparation::fit`]
+    /// returns on the same source and window, and the path is always
+    /// [`SearchPath::Warm`]. Each call bumps the
+    /// `causal.fnode.warm_searches` telemetry counter.
     ///
-    /// Returns the separation together with the [`SearchPath`] actually
-    /// taken, so callers can report warm-hit rates. Note the warm path is
-    /// deterministic but not bit-identical to cold (see
-    /// [`fsda_causal::warm`] for the floating-point caveat); hard input
-    /// failures (corrupt window, width mismatch) are *not* masked by the
-    /// fallback — they error on both paths.
-    ///
-    /// A previous variant set is accepted only when it is a well-formed
-    /// subset of the cached feature space: every index in range, no
-    /// duplicates. Anything else is a stale skeleton — each rejection
-    /// bumps the `causal.fnode.warm_rejected` telemetry counter and the
-    /// search runs cold.
+    /// `_prev_variant` no longer affects the result. The parameter stays
+    /// for callers written against the earlier signature and will be
+    /// removed, together with the returned [`SearchPath`], in a later
+    /// release.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidInput`] on a feature-count mismatch
     /// between the cache and the window, and propagates causal failures
-    /// (non-finite cells, empty windows).
+    /// (non-finite cells, localized to the window; empty windows).
     pub fn fit_warm(
         cache: &SeparationCache,
         target_shots: &Dataset,
-        prev_variant: Option<&[usize]>,
+        _prev_variant: Option<&[usize]>,
     ) -> Result<(Self, SearchPath)> {
+        let separation = Self::separate(cache, target_shots)?;
+        fsda_telemetry::counter("causal.fnode.warm_searches", 1);
+        Ok((separation, SearchPath::Warm))
+    }
+
+    /// The separation step shared by [`FeatureSeparation::fit`] and
+    /// [`FeatureSeparation::fit_warm`]: normalize the window, run the
+    /// F-node search through the cache, then the marginal screen.
+    fn separate(cache: &SeparationCache, target_shots: &Dataset) -> Result<Self> {
         if target_shots.num_features() != cache.num_features() {
             return Err(CoreError::InvalidInput(format!(
                 "cache has {} features, target {}",
@@ -432,50 +375,24 @@ impl FeatureSeparation {
                 target_shots.num_features()
             )));
         }
-        let tgt_n = cache.normalizer.transform(target_shots.features());
-        let fnode_cfg: FnodeConfig = (&cache.config).into();
-        let warm_applicable = match prev_variant {
-            Some(prev) => {
-                let mut seen = vec![false; cache.num_features()];
-                let fresh = prev
-                    .iter()
-                    .all(|&x| x < cache.num_features() && !std::mem::replace(&mut seen[x], true));
-                if !fresh {
-                    fsda_telemetry::counter("causal.fnode.warm_rejected", 1);
-                }
-                fresh
-            }
-            None => false,
-        };
-        let (mut result, path) = if warm_applicable {
-            let prev = prev_variant.unwrap_or(&[]);
-            (
-                find_intervened_features_warm(&cache.ci, &tgt_n, prev, &fnode_cfg)?,
-                SearchPath::Warm,
-            )
-        } else {
-            (
-                find_intervened_features(&cache.src_n, &tgt_n, &fnode_cfg)?,
-                SearchPath::Cold,
-            )
-        };
+        let window = cache
+            .ci
+            .window(&cache.normalizer.transform(target_shots.features()))?;
+        let mut result = cache.ci.search(&window, &cache.config)?;
         marginal_screen(
-            &cache.src_n,
-            &tgt_n,
+            cache.ci.source(),
+            &window,
             &mut result.variant,
             &mut result.invariant,
         );
-        Ok((
-            FeatureSeparation {
-                variant: result.variant,
-                invariant: result.invariant,
-                normalizer: cache.normalizer.clone(),
-                tests_run: result.tests_run,
-                num_features: cache.num_features(),
-                config: cache.config.clone(),
-            },
-            path,
-        ))
+        Ok(FeatureSeparation {
+            variant: result.variant,
+            invariant: result.invariant,
+            normalizer: cache.normalizer.clone(),
+            tests_run: result.tests_run,
+            num_features: cache.num_features(),
+            config: cache.config.clone(),
+        })
     }
 }
 
@@ -603,6 +520,13 @@ mod tests {
         assert!(p <= 1.0);
     }
 
+    fn assert_same_separation(a: &FeatureSeparation, b: &FeatureSeparation) {
+        assert_eq!(a.variant(), b.variant());
+        assert_eq!(a.invariant(), b.invariant());
+        assert_eq!(a.tests_run(), b.tests_run());
+        assert_eq!(a.num_features(), b.num_features());
+    }
+
     #[test]
     fn fit_warm_matches_cold_partition() {
         let bundle = Synth5gc::small().generate(21).unwrap();
@@ -614,67 +538,54 @@ mod tests {
         assert_eq!(cache.num_features(), cold.num_features());
         assert_eq!(cache.source_rows(), bundle.source_train.len());
 
-        // Warm from the cold skeleton: the steady-state re-detection. The
-        // warm path is deterministic but not bit-identical to cold, so a
-        // borderline feature may flip — the partitions must still agree on
-        // all but a sliver of the feature space.
-        let (warm, path) =
-            FeatureSeparation::fit_warm(&cache, &shots, Some(cold.variant())).unwrap();
-        assert_eq!(path, SearchPath::Warm);
-        let warm_set: std::collections::BTreeSet<usize> = warm.variant().iter().copied().collect();
-        let cold_set: std::collections::BTreeSet<usize> = cold.variant().iter().copied().collect();
-        let flipped = warm_set.symmetric_difference(&cold_set).count();
-        assert!(
-            flipped <= 2,
-            "warm and cold partitions diverged on {flipped} features: {warm_set:?} vs {cold_set:?}"
-        );
-        assert_eq!(warm.num_features(), cold.num_features());
-        assert_eq!(
-            warm.variant().len() + warm.invariant().len(),
-            warm.num_features()
-        );
-
-        // No previous skeleton: the cache still avoids re-normalizing but
-        // runs the cold search.
-        let (cold2, path2) = FeatureSeparation::fit_warm(&cache, &shots, None).unwrap();
-        assert_eq!(path2, SearchPath::Cold);
-        assert_eq!(cold2.variant(), cold.variant());
+        // Warm from the cold skeleton (the steady-state re-detection) and
+        // without one: both are the cold separation exactly.
+        for prev in [Some(cold.variant()), None] {
+            let (warm, path) = FeatureSeparation::fit_warm(&cache, &shots, prev).unwrap();
+            assert_eq!(path, SearchPath::Warm);
+            assert_same_separation(&warm, &cold);
+        }
     }
 
     #[test]
-    fn fit_warm_falls_back_to_cold_on_stale_skeleton() {
-        let recorder = std::sync::Arc::new(fsda_telemetry::InMemoryRecorder::new());
-        fsda_telemetry::set_recorder(recorder.clone());
+    fn warm_start_from_the_previous_window_is_the_cold_fit() {
+        // Two successive windows of one drifted tenant at one shot per
+        // class. Ranking the first window's variant set first among the
+        // conditioning candidates, as an earlier warm search did, added
+        // feature 22 on the second window and ran 180 tests instead of 177.
+        let bundle = Synth5gc::small().generate(3).unwrap();
+        let cfg = FsConfig::default();
+        let mut rng = SeededRng::new(3 ^ 0x77);
+        let first = few_shot_subset(&bundle.target_pool, 1, &mut rng).unwrap();
+        let mut rng = SeededRng::new(3 ^ 0x77 ^ 0xABCD);
+        let second = few_shot_subset(&bundle.target_pool, 1, &mut rng).unwrap();
+
+        let cache = SeparationCache::new(&bundle.source_train, &cfg).unwrap();
+        let (prev, _) = FeatureSeparation::fit_warm(&cache, &first, None).unwrap();
+        let (warm, path) =
+            FeatureSeparation::fit_warm(&cache, &second, Some(prev.variant())).unwrap();
+        let cold = FeatureSeparation::fit(&bundle.source_train, &second, &cfg).unwrap();
+        assert_eq!(path, SearchPath::Warm);
+        assert_same_separation(&warm, &cold);
+    }
+
+    #[test]
+    fn fit_warm_ignores_stale_duplicate_or_absent_skeletons() {
         let bundle = Synth5gc::small().generate(23).unwrap();
         let mut rng = SeededRng::new(24);
         let shots = few_shot_subset(&bundle.target_pool, 8, &mut rng).unwrap();
-        let cache = SeparationCache::new(&bundle.source_train, &FsConfig::default()).unwrap();
-        // A skeleton from some other feature space: indices out of range.
-        let stale = vec![0, cache.num_features() + 3];
-        let (fs, path) = FeatureSeparation::fit_warm(&cache, &shots, Some(&stale)).unwrap();
-        assert_eq!(
-            path,
-            SearchPath::Cold,
-            "mismatched skeleton must cold-start"
-        );
-        assert_eq!(fs.variant().len() + fs.invariant().len(), fs.num_features());
-        // A duplicated index is also stale: it cannot have come from a
-        // partition of this feature space.
-        let dup = vec![1, 1];
-        let (_, path) = FeatureSeparation::fit_warm(&cache, &shots, Some(&dup)).unwrap();
-        assert_eq!(path, SearchPath::Cold, "duplicate skeleton must cold-start");
-        // Both rejections were counted; a well-formed warm start and the
-        // explicit cold path (`None`) are not.
-        let (_, path) = FeatureSeparation::fit_warm(&cache, &shots, Some(&[0, 1])).unwrap();
-        assert_eq!(path, SearchPath::Warm);
-        FeatureSeparation::fit_warm(&cache, &shots, None).unwrap();
-        fsda_telemetry::clear_recorder();
-        assert_eq!(
-            recorder
-                .snapshot_now()
-                .counter("causal.fnode.warm_rejected"),
-            2
-        );
+        let cfg = FsConfig::default();
+        let cold = FeatureSeparation::fit(&bundle.source_train, &shots, &cfg).unwrap();
+        let cache = SeparationCache::new(&bundle.source_train, &cfg).unwrap();
+        // Indices from some other feature space, a duplicate that cannot
+        // come from a partition, a well-formed skeleton, and none at all.
+        let stale = [0, cache.num_features() + 3];
+        let skeletons: [Option<&[usize]>; 4] = [Some(&stale), Some(&[1, 1]), Some(&[0, 1]), None];
+        for prev in skeletons {
+            let (fs, path) = FeatureSeparation::fit_warm(&cache, &shots, prev).unwrap();
+            assert_eq!(path, SearchPath::Warm, "{prev:?}");
+            assert_same_separation(&fs, &cold);
+        }
     }
 
     #[test]

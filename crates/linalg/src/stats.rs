@@ -63,42 +63,189 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     (covariance(xs, ys) / (sx * sy)).clamp(-1.0, 1.0)
 }
 
+/// Centered co-moments of the columns of a sample: the row count `n`, the
+/// column means `μ`, and `M2 = Σ (x − μ)(x − μ)ᵀ` summed over the rows.
+///
+/// The one builder behind [`covariance_matrix`], [`correlation_matrix`]
+/// and the cached F-node correlations in `fsda-causal`. Two samples'
+/// co-moments [`merge`](CoMoments::merge) into those of their union
+/// without revisiting either sample's rows. Only centered quantities are
+/// ever summed, so a large common offset in a column costs far less
+/// precision than it does in raw `Σ xᵢxⱼ − n·μᵢμⱼ` moments.
+#[derive(Debug, Clone)]
+pub struct CoMoments {
+    n: usize,
+    means: Vec<f64>,
+    /// Upper triangle (`i <= j`) of `M2`; the strict lower triangle stays 0.
+    m2: Matrix,
+}
+
+impl CoMoments {
+    /// Two-pass co-moments of the columns of `data` (rows are samples):
+    /// column means first, then the centered cross-products summed in row
+    /// order. An empty `data` gives `n = 0`, zero means and a zero `M2`.
+    pub fn from_rows(data: &Matrix) -> Self {
+        let d = data.cols();
+        let means = data.col_means();
+        let mut m2 = Matrix::zeros(d, d);
+        for row in data.iter_rows() {
+            for i in 0..d {
+                let di = row[i] - means[i];
+                if di == 0.0 {
+                    continue;
+                }
+                let acc = &mut m2.row_mut(i)[i..];
+                for ((a, &x), &m) in acc.iter_mut().zip(&row[i..]).zip(&means[i..]) {
+                    *a += di * (x - m);
+                }
+            }
+        }
+        CoMoments {
+            n: data.rows(),
+            means,
+            m2,
+        }
+    }
+
+    /// Co-moments of the same sample with one more column that holds
+    /// `value` in every row. A constant column has mean `value` and no
+    /// spread; it only enters `M2` through a [`merge`](CoMoments::merge)
+    /// with a sample that holds a different constant there.
+    pub fn with_constant(&self, value: f64) -> Self {
+        let d = self.num_cols();
+        let mut means = self.means.clone();
+        means.push(value);
+        let mut m2 = Matrix::zeros(d + 1, d + 1);
+        for i in 0..d {
+            m2.row_mut(i)[i..d].copy_from_slice(&self.m2.row(i)[i..]);
+        }
+        CoMoments {
+            n: self.n,
+            means,
+            m2,
+        }
+    }
+
+    /// Co-moments of the union of two samples over the same columns
+    /// (Chan, Golub & LeVeque's pairwise update): with `δ = μb − μa`,
+    /// `μ = μa + δ·nb/n` and `M2 = M2a + M2b + δδᵀ·na·nb/n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two samples have different column counts.
+    pub fn merge(&self, other: &CoMoments) -> Self {
+        let d = self.num_cols();
+        assert_eq!(d, other.num_cols(), "CoMoments::merge: column mismatch");
+        if self.n == 0 || other.n == 0 {
+            return if self.n == 0 { other } else { self }.clone();
+        }
+        let n = self.n + other.n;
+        let (na, nb, nf) = (self.n as f64, other.n as f64, n as f64);
+        let delta: Vec<f64> = other
+            .means
+            .iter()
+            .zip(&self.means)
+            .map(|(b, a)| b - a)
+            .collect();
+        let means = self
+            .means
+            .iter()
+            .zip(&delta)
+            .map(|(a, dl)| a + dl * nb / nf)
+            .collect();
+        let w = na * nb / nf;
+        let mut m2 = Matrix::zeros(d, d);
+        for i in 0..d {
+            let (a, b) = (&self.m2.row(i)[i..], &other.m2.row(i)[i..]);
+            for (k, out) in m2.row_mut(i)[i..].iter_mut().enumerate() {
+                *out = a[k] + b[k] + delta[i] * delta[i + k] * w;
+            }
+        }
+        CoMoments { n, means, m2 }
+    }
+
+    /// Number of rows folded in.
+    pub fn rows(&self) -> usize {
+        self.n
+    }
+
+    /// Number of columns.
+    pub fn num_cols(&self) -> usize {
+        self.means.len()
+    }
+
+    /// Column means (all 0.0 when no rows were folded in).
+    pub fn means(&self) -> &[f64] {
+        &self.means
+    }
+
+    /// `Σ (x_c − μ_c)²` of column `c`: the diagonal of `M2`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` is out of range.
+    pub fn sum_sq(&self, c: usize) -> f64 {
+        self.m2.get(c, c)
+    }
+
+    /// Sample covariance matrix `M2 / (n − 1)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::Empty`] when fewer than two rows were folded
+    /// in.
+    pub fn covariance(&self) -> Result<Matrix> {
+        if self.n < 2 {
+            return Err(LinalgError::Empty("covariance needs >= 2 rows".into()));
+        }
+        let d = self.num_cols();
+        let denom = (self.n - 1) as f64;
+        let mut cov = Matrix::zeros(d, d);
+        for i in 0..d {
+            for j in i..d {
+                let v = self.m2.get(i, j) / denom;
+                cov.set(i, j, v);
+                cov.set(j, i, v);
+            }
+        }
+        Ok(cov)
+    }
+
+    /// Correlation matrix: unit diagonal, `r = 0` against any column whose
+    /// standard deviation is below `1e-12`, every entry clamped to
+    /// `[-1, 1]`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::Empty`] when fewer than two rows were folded
+    /// in.
+    pub fn correlation(&self) -> Result<Matrix> {
+        let cov = self.covariance()?;
+        let d = cov.rows();
+        let std: Vec<f64> = (0..d).map(|i| cov.get(i, i).sqrt()).collect();
+        let mut corr = Matrix::identity(d);
+        for i in 0..d {
+            for j in (i + 1)..d {
+                let r = if std[i] < 1e-12 || std[j] < 1e-12 {
+                    0.0
+                } else {
+                    (cov.get(i, j) / (std[i] * std[j])).clamp(-1.0, 1.0)
+                };
+                corr.set(i, j, r);
+                corr.set(j, i, r);
+            }
+        }
+        Ok(corr)
+    }
+}
+
 /// Sample covariance matrix of the columns of `data` (rows are samples).
 ///
 /// # Errors
 ///
 /// Returns [`LinalgError::Empty`] when `data` has fewer than two rows.
 pub fn covariance_matrix(data: &Matrix) -> Result<Matrix> {
-    if data.rows() < 2 {
-        return Err(LinalgError::Empty(
-            "covariance_matrix needs >= 2 rows".into(),
-        ));
-    }
-    let n = data.rows();
-    let d = data.cols();
-    let means = data.col_means();
-    let mut cov = Matrix::zeros(d, d);
-    for row in data.iter_rows() {
-        for i in 0..d {
-            let di = row[i] - means[i];
-            if di == 0.0 {
-                continue;
-            }
-            for j in i..d {
-                let v = cov.get(i, j) + di * (row[j] - means[j]);
-                cov.set(i, j, v);
-            }
-        }
-    }
-    let denom = (n - 1) as f64;
-    for i in 0..d {
-        for j in i..d {
-            let v = cov.get(i, j) / denom;
-            cov.set(i, j, v);
-            cov.set(j, i, v);
-        }
-    }
-    Ok(cov)
+    CoMoments::from_rows(data).covariance()
 }
 
 /// Correlation matrix of the columns of `data`; constant columns correlate
@@ -108,23 +255,7 @@ pub fn covariance_matrix(data: &Matrix) -> Result<Matrix> {
 ///
 /// Returns [`LinalgError::Empty`] when `data` has fewer than two rows.
 pub fn correlation_matrix(data: &Matrix) -> Result<Matrix> {
-    let cov = covariance_matrix(data)?;
-    let d = cov.rows();
-    let mut corr = Matrix::identity(d);
-    for i in 0..d {
-        for j in (i + 1)..d {
-            let si = cov.get(i, i).sqrt();
-            let sj = cov.get(j, j).sqrt();
-            let r = if si < 1e-12 || sj < 1e-12 {
-                0.0
-            } else {
-                (cov.get(i, j) / (si * sj)).clamp(-1.0, 1.0)
-            };
-            corr.set(i, j, r);
-            corr.set(j, i, r);
-        }
-    }
-    Ok(corr)
+    CoMoments::from_rows(data).correlation()
 }
 
 /// Partial correlation of variables `i` and `j` given the set `cond`,
@@ -388,6 +519,61 @@ mod tests {
         assert!((cov.get(0, 1) - c01).abs() < 1e-12);
         assert_eq!(cov.get(2, 2), 0.0);
         assert_eq!(cov.get(0, 1), cov.get(1, 0));
+    }
+
+    #[test]
+    fn merged_comoments_match_the_stacked_sample() {
+        let mut rng = SeededRng::new(5);
+        let data = Matrix::from_fn(70, 4, |_, c| rng.normal(c as f64, 1.0 + c as f64));
+        let head = Matrix::from_fn(50, 4, |r, c| data.get(r, c));
+        let tail = Matrix::from_fn(20, 4, |r, c| data.get(50 + r, c));
+        let merged = CoMoments::from_rows(&head).merge(&CoMoments::from_rows(&tail));
+        let stacked = CoMoments::from_rows(&data);
+        assert_eq!(merged.rows(), 70);
+        for c in 0..4 {
+            assert!((merged.means()[c] - stacked.means()[c]).abs() < 1e-12);
+            assert!((merged.sum_sq(c) - stacked.sum_sq(c)).abs() < 1e-9);
+        }
+        let (a, b) = (
+            merged.correlation().unwrap(),
+            stacked.correlation().unwrap(),
+        );
+        assert!(a.try_sub(&b).unwrap().max_abs() < 1e-14);
+        // Merging an empty sample changes nothing.
+        let empty = CoMoments::from_rows(&Matrix::zeros(0, 4));
+        let same = stacked.merge(&empty);
+        assert_eq!(same.means(), stacked.means());
+        assert_eq!(same.covariance().unwrap(), stacked.covariance().unwrap());
+    }
+
+    #[test]
+    fn indicator_column_gets_its_moments_from_the_merge() {
+        // A 0/1 column appended per sample: its mean is the share of the
+        // second sample, its spread na·nb/n, its co-moment with x
+        // δx·na·nb/n — the same as stacking the rows with the column.
+        let mut rng = SeededRng::new(8);
+        let a = Matrix::from_fn(30, 2, |_, _| rng.normal(0.0, 1.0));
+        let b = Matrix::from_fn(10, 2, |_, _| rng.normal(2.0, 1.0));
+        let merged = CoMoments::from_rows(&a)
+            .with_constant(0.0)
+            .merge(&CoMoments::from_rows(&b).with_constant(1.0));
+        let stacked = Matrix::from_fn(40, 3, |r, c| match (r < 30, c) {
+            (true, 2) => 0.0,
+            (false, 2) => 1.0,
+            (true, _) => a.get(r, c),
+            (false, _) => b.get(r - 30, c),
+        });
+        let reference = CoMoments::from_rows(&stacked);
+        assert_eq!(merged.num_cols(), 3);
+        assert!((merged.means()[2] - 0.25).abs() < 1e-15);
+        assert!((merged.sum_sq(2) - 7.5).abs() < 1e-12);
+        let gap = merged
+            .correlation()
+            .unwrap()
+            .try_sub(&reference.correlation().unwrap())
+            .unwrap()
+            .max_abs();
+        assert!(gap < 1e-14, "gap {gap:e}");
     }
 
     #[test]

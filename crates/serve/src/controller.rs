@@ -13,16 +13,17 @@
 //! 2. **Re-fit.** On a re-adaptation recommendation, fresh few-shot
 //!    samples are drawn from a bounded ring buffer of recent labeled
 //!    target windows and handed to a [`Refitter`]. The default
-//!    [`RegistryRefitter`] warm-starts the F-node search from the
-//!    previous skeleton through [`fsda_core::fs::SeparationCache`],
-//!    falling back to a cold search when the skeleton is stale.
+//!    [`RegistryRefitter`] re-runs the F-node search through a
+//!    per-tenant [`fsda_core::fs::SeparationCache`], so only the shots
+//!    are folded in; the result is the cold separation exactly.
 //! 3. **Validate.** The candidate must beat the incumbent (restored from
 //!    its last-good artifact bytes) on a held-back slice of the buffer by
 //!    at least [`ControllerConfig::min_improvement`] macro-F1. Validation
 //!    runs on the controller's thread — the request path never blocks.
 //! 4. **Swap.** Only a validated candidate reaches
 //!    [`crate::server::TenantServer::swap`]; its bytes become the new
-//!    last-good artifact and its variant set seeds the next warm search.
+//!    last-good artifact and its variant set is reported as the
+//!    incumbent's ([`DriftController::prev_variant`]).
 //!
 //! **Containment.** Every re-fit attempt runs on a worker thread under a
 //! configurable deadline; a hung fit is detached and counted, never
@@ -213,7 +214,8 @@ pub struct RefitRequest {
     pub source: Arc<Dataset>,
     /// Few-shot target samples drawn for this attempt.
     pub shots: Dataset,
-    /// Variant set of the incumbent, for warm-started separation.
+    /// Variant set of the incumbent. Custom refitters may use it; the
+    /// registry's cached separation returns the same result without it.
     pub prev_variant: Option<Vec<usize>>,
     /// Fit seed for this attempt (unique per attempt).
     pub seed: u64,
@@ -222,13 +224,14 @@ pub struct RefitRequest {
 }
 
 /// A successful re-fit: the candidate artifact and which search path
-/// produced its separation ([`SearchPath::Cold`] for pipelines that do
-/// not factor through one).
+/// produced its separation ([`SearchPath::Warm`] through a cache built
+/// earlier, [`SearchPath::Cold`] for pipelines that do not factor through
+/// one).
 #[derive(Debug)]
 pub struct Refit {
     /// The fitted candidate, not yet validated.
     pub artifact: Box<dyn DriftMitigator>,
-    /// Warm or cold F-node search (cold for non-FS pipelines).
+    /// Cached F-node search (warm), or none (cold, non-FS pipelines).
     pub path: SearchPath,
 }
 
@@ -243,9 +246,9 @@ pub trait Refitter: Send + Sync {
 
 /// Default [`Refitter`]: dispatches through the
 /// [`fsda_core::Method`] registry. FS-family methods re-separate through
-/// a [`SeparationCache`] (warm-started from `prev_variant` when
-/// applicable); every other method re-fits cold via
-/// [`DriftMitigator::try_fit`].
+/// a [`SeparationCache`] built at construction and report
+/// [`SearchPath::Warm`]; every other method re-fits from the raw domains
+/// via [`DriftMitigator::try_fit`] and reports [`SearchPath::Cold`].
 pub struct RegistryRefitter {
     method: Method,
     config: AdapterConfig,
@@ -303,7 +306,7 @@ impl Refitter for RegistryRefitter {
     fn refit(&self, request: RefitRequest) -> Result<Refit, FitError> {
         if let Some(cache) = &self.cache {
             // Localize corrupt shot cells before they reach the CI merge,
-            // matching the cold path's typed error.
+            // with the typed error `try_fit` reports for every other method.
             let shots = request.shots.features();
             for r in 0..shots.rows() {
                 for c in 0..shots.cols() {
@@ -549,8 +552,10 @@ impl DriftController {
         Ok(())
     }
 
-    /// Variant set seeding the next warm search, when the last-good
-    /// pipeline factors through a feature separation.
+    /// Variant set of the last-good pipeline, when it factors through a
+    /// feature separation. Handed to every re-fit as
+    /// [`RefitRequest::prev_variant`]; the registry's separation no longer
+    /// depends on it.
     pub fn prev_variant(&self) -> Option<&[usize]> {
         self.prev_variant.as_deref()
     }
@@ -1350,7 +1355,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_refitter_warm_starts_fs_family() {
+    fn registry_refitter_reports_warm_for_fs_family_and_cold_otherwise() {
         let b = bundle();
         let refitter = RegistryRefitter::new(
             Method::Fs,
@@ -1361,31 +1366,40 @@ mod tests {
         .unwrap();
         let mut rng = SeededRng::new(3);
         let shots = few_shot_subset(&b.target_pool, 3, &mut rng).unwrap();
+        let request = |prev_variant: Option<Vec<usize>>, seed: u64| RefitRequest {
+            source: Arc::new(b.source_train.clone()),
+            shots: shots.clone(),
+            prev_variant,
+            seed,
+            attempt: 0,
+        };
 
-        // Cold without a previous skeleton…
-        let cold = refitter
-            .refit(RefitRequest {
-                source: Arc::new(b.source_train.clone()),
-                shots: shots.clone(),
-                prev_variant: None,
-                seed: 1,
-                attempt: 0,
-            })
+        // An FS re-fit searches through the cache with or without the
+        // incumbent's variant set, and the set does not change the result.
+        let first = refitter.refit(request(None, 1)).unwrap();
+        assert_eq!(first.path, SearchPath::Warm);
+        let seeded = refitter
+            .refit(request(first.artifact.variant_features(), 2))
             .unwrap();
-        assert_eq!(cold.path, SearchPath::Cold);
+        assert_eq!(seeded.path, SearchPath::Warm);
+        assert!(seeded.artifact.is_fitted());
+        assert_eq!(
+            seeded.artifact.variant_features(),
+            first.artifact.variant_features()
+        );
 
-        // …warm when seeded with the cold result's variant set.
-        let warm = refitter
-            .refit(RefitRequest {
-                source: Arc::new(b.source_train.clone()),
-                shots,
-                prev_variant: cold.artifact.variant_features(),
-                seed: 2,
-                attempt: 0,
-            })
-            .unwrap();
-        assert_eq!(warm.path, SearchPath::Warm);
-        assert!(warm.artifact.is_fitted());
+        // A method fitted without a separation reports the cold path.
+        let src_only = RegistryRefitter::new(
+            Method::SrcOnly,
+            AdapterConfig::quick(),
+            GuardConfig::default(),
+            &b.source_train,
+        )
+        .unwrap();
+        assert_eq!(
+            src_only.refit(request(None, 3)).unwrap().path,
+            SearchPath::Cold
+        );
     }
 
     #[test]

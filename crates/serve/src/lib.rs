@@ -16,10 +16,10 @@
 //!   artifact pointer: wait-free reads, one-atomic-swap publication,
 //!   zero request stalls.
 //! - **[`controller`]** — [`controller::DriftController`]: the
-//!   closed-loop supervisor — detect → re-fit (warm-started) → validate
-//!   → hot-swap, with per-attempt deadlines, seeded-jitter retries, and
-//!   a circuit breaker that degrades to serve-last-good on repeated
-//!   failure.
+//!   closed-loop supervisor — detect → re-fit (cached separation) →
+//!   validate → hot-swap, with per-attempt deadlines, seeded-jitter
+//!   retries, and a circuit breaker that degrades to serve-last-good on
+//!   repeated failure.
 //! - **[`server`]** — [`server::TenantServer`]: routes batches by tenant
 //!   over a thread-per-core shard pool (`fsda_linalg::par::ShardPool`),
 //!   applies per-tenant admission control and shard-level backpressure,

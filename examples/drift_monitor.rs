@@ -10,10 +10,10 @@
 //! A [`fsda::serve::DriftController`] supervises the adaptive tenant:
 //! it scores every (unlabeled) window, and when one leaves the source
 //! envelope it re-fits the lightweight FS+GAN front-end from a few
-//! labeled shots of its buffered pool — **warm-starting** the F-node
-//! search from the previous skeleton — validates the candidate against
-//! the incumbent on a held-back slice, and hot-swaps only a winner into
-//! the running server. The classifier is never retrained and traffic
+//! labeled shots of its buffered pool — re-running the F-node search
+//! **warm**, through a cache of the source statistics — validates the
+//! candidate against the incumbent on a held-back slice, and hot-swaps
+//! only a winner into the running server. The classifier is never retrained and traffic
 //! never stops. A second tenant serves the same stream on the
 //! never-adapted source model, so every window reports what mitigation
 //! bought.
